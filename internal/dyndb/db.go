@@ -4,12 +4,20 @@
 // mutation, layered copy-on-write above an immutable base image.
 //
 // A DB owns one tenant's view of a program: the shared base code
-// space (never written), a private code tail holding every rebuilt
-// predicate block, and a sparse overlay of patched base words — the
+// space (never written), a private code tail holding the rebuilt
+// predicate blocks, and a sparse overlay of patched words — the
 // Call/Execute sites retargeted when a mutated predicate's entry
 // moved. Machines materialise the view on demand (install.go): the
 // whole pool shares one boot image while each tenant's asserted
 // clauses stay private to its delta.
+//
+// A rebuild appends the new block and leaves the block it replaced
+// dead in the tail. When a mutation would leave more dead words than
+// live words plus CompactFloor, it commits by compacting instead:
+// every live block is relinked contiguously from the base frontier
+// and a new layout epoch begins (see View). The tail therefore never
+// holds more than twice its live code plus CompactFloor words, and
+// each write pays amortised O(1) compaction work per word it rebuilds.
 //
 // Every block enters a code space only through the analyzer's
 // loader-grade validation (analysis.CheckEncoded): a malformed
@@ -42,13 +50,29 @@ var (
 	ErrBadClause = errors.New("dyndb: malformed clause")
 )
 
+// CompactFloor is the number of dead tail words a database tolerates
+// beyond its live code before a mutation compacts the tail: a
+// committing mutation that leaves more than live+CompactFloor dead
+// words re-lays the live blocks instead of appending.
+const CompactFloor = 256
+
 // pred is one dynamic predicate's clause chain and its current
 // compiled block.
 type pred struct {
 	clauses []term.Term      // source clauses, chain order
+	mod     *compiler.Module // compiled chain; compaction relinks it
 	addr    uint32           // current entry address
 	lo, hi  uint32           // current block extent (aux included)
 	aux     []term.Indicator // auxiliary entries of the current block
+}
+
+// tailWords is the size of the predicate's current block if it lives
+// in the tail (0 for a base stub or a declaration not yet built).
+func (p *pred) tailWords(baseTop uint32) int {
+	if p.lo < baseTop {
+		return 0
+	}
+	return int(p.hi - p.lo)
 }
 
 // DB is one tenant's dynamic database over a shared base image.
@@ -62,11 +86,15 @@ type DB struct {
 	baseEntries map[term.Indicator]uint32
 
 	tail    []word.Word               // private delta code, loaded at baseTop
+	live    int                       // tail words of the current blocks
 	patches map[uint32]word.Word      // private rewrites of loaded words (base and tail)
 	entries map[term.Indicator]uint32 // full current entry table
 	preds   map[term.Indicator]*pred
 	version uint64
+	epoch   uint64 // tail layout; advanced by every compaction
 	auxSeq  int
+
+	compactions uint64 // tail re-layouts performed, for CodeStats
 }
 
 // New builds a database over a linked base image. The dynamic
@@ -136,10 +164,25 @@ func (db *DB) Clauses(pi term.Indicator) []term.Term {
 	return append([]term.Term(nil), p.clauses...)
 }
 
+// CodeStats is the size of a database's private code tail.
+type CodeStats struct {
+	LiveWords   int    // words of the current predicate blocks
+	TailWords   int    // all tail words, current and superseded
+	Compactions uint64 // tail re-layouts this database has performed
+}
+
+// CodeStats reports the database's tail size. Between compactions
+// TailWords stays at most 2*LiveWords + CompactFloor.
+func (db *DB) CodeStats() CodeStats {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return CodeStats{LiveWords: db.live, TailWords: len(db.tail), Compactions: db.compactions}
+}
+
 // Clone makes an independent database sharing the immutable base:
-// the seed of a fresh tenant. Clause terms are shared (the reader
-// never mutates a parsed term); the tail, overlay, entry table and
-// chains are copied.
+// the seed of a fresh tenant. Clause terms and compiled chains are
+// shared (neither is ever mutated); the tail, overlay, entry table and
+// chains are copied. The clone's compaction count starts at zero.
 func (db *DB) Clone() *DB {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -150,10 +193,12 @@ func (db *DB) Clone() *DB {
 		baseTop:     db.baseTop,
 		baseEntries: db.baseEntries,
 		tail:        append([]word.Word(nil), db.tail...),
+		live:        db.live,
 		patches:     make(map[uint32]word.Word, len(db.patches)),
 		entries:     make(map[term.Indicator]uint32, len(db.entries)),
 		preds:       make(map[term.Indicator]*pred, len(db.preds)),
 		version:     db.version,
+		epoch:       db.epoch,
 		auxSeq:      db.auxSeq,
 	}
 	for a, w := range db.patches {
@@ -213,7 +258,7 @@ func (db *DB) assert(cl term.Term, front bool) (uint64, error) {
 		next = append(next, p.clauses...)
 		next = append(next, cl)
 	}
-	if _, err := db.rebuild(pi, p, next); err != nil {
+	if err := db.rebuild(pi, p, next); err != nil {
 		return 0, err
 	}
 	return db.version, nil
@@ -247,7 +292,7 @@ func (db *DB) Retract(cl term.Term) (bool, uint64, error) {
 	next := make([]term.Term, 0, len(p.clauses)-1)
 	next = append(next, p.clauses[:at]...)
 	next = append(next, p.clauses[at+1:]...)
-	if _, err := db.rebuild(pi, p, next); err != nil {
+	if err := db.rebuild(pi, p, next); err != nil {
 		return false, 0, err
 	}
 	return true, db.version, nil
@@ -266,7 +311,7 @@ func (db *DB) Reload(pi term.Indicator, clauses []term.Term) (uint64, error) {
 		p = &pred{}
 		db.preds[pi] = p
 	}
-	if _, err := db.rebuild(pi, p, append([]term.Term(nil), clauses...)); err != nil {
+	if err := db.rebuild(pi, p, append([]term.Term(nil), clauses...)); err != nil {
 		if len(p.clauses) == 0 && p.hi == 0 {
 			delete(db.preds, pi) // fresh declaration never materialised
 		}
@@ -300,63 +345,176 @@ func (db *DB) chainFor(cl term.Term, declare bool) (term.Indicator, *pred, error
 	return pi, p, nil
 }
 
-// rebuild compiles a predicate's new chain, links it at the top of
-// the delta, validates it, and — only then — commits: the block is
-// appended to the tail, the entry table is updated, and every call
-// site of the old entry is retargeted to the new block. Callers hold
-// db.mu.
-func (db *DB) rebuild(pi term.Indicator, p *pred, clauses []term.Term) (*change, error) {
+// rebuild compiles a predicate's new chain, links it, validates it,
+// and — only then — commits, bumping the version. The commit either
+// appends the block at the top of the tail, or, when that would leave
+// more than live+CompactFloor dead words behind, compacts the tail
+// with the new chain in place. A rejected chain leaves the database
+// unchanged. Callers hold db.mu.
+func (db *DB) rebuild(pi term.Indicator, p *pred, clauses []term.Term) error {
 	c := compiler.New(db.syms)
 	c.SetAuxBase(db.auxSeq)
 	mod, err := c.CompileClauses(pi, clauses)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadClause, err)
+		return fmt.Errorf("%w: %v", ErrBadClause, err)
 	}
 	top := db.baseTop + uint32(len(db.tail))
 	im, err := asm.LinkAt(mod, top, db.entries)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadClause, err)
+		return fmt.Errorf("%w: %v", ErrBadClause, err)
 	}
+	live := db.live - p.tailWords(db.baseTop) + len(im.Code)
+	if dead := len(db.tail) + len(im.Code) - live; dead > live+CompactFloor {
+		err = db.compact(pi, mod)
+	} else {
+		err = db.appendBlock(pi, p, im)
+	}
+	if err != nil {
+		return err
+	}
+	p.clauses = clauses
+	p.mod = mod
+	db.auxSeq = c.AuxBase()
+	db.version++
+	return nil
+}
+
+// appendBlock validates a block linked at the top of the tail and
+// commits it: the block is appended, the entry table is updated, and
+// every call site of the old entry is retargeted to the new block.
+func (db *DB) appendBlock(pi term.Indicator, p *pred, im *asm.Image) error {
+	top := db.baseTop + uint32(len(db.tail))
 	if ds := analysis.CheckEncodedCached(im.Code, top, top); len(ds) > 0 {
-		return nil, &machine.CodeError{Base: top, Diags: ds}
+		return &machine.CodeError{Base: top, Diags: ds}
 	}
 	newAddr, ok := im.Entries[pi]
 	if !ok {
-		return nil, fmt.Errorf("dyndb: linked block lost entry %v", pi)
+		return fmt.Errorf("dyndb: linked block lost entry %v", pi)
 	}
-
-	// Commit. The old entry address (0 means a fresh declaration with
-	// no callers yet) is retargeted across the whole image.
+	// The old entry address (0 means a fresh declaration with no
+	// callers yet) is retargeted across the whole image.
 	oldAddr := p.addr
-	ch := &change{
-		pi:        pi,
-		addr:      newAddr,
-		blockBase: top,
-		block:     im.Code,
-		version:   db.version + 1,
-	}
 	db.tail = append(db.tail, im.Code...)
+	db.live += len(im.Code) - p.tailWords(db.baseTop)
 	for _, api := range p.aux {
 		delete(db.entries, api)
-		ch.dropEntries = append(ch.dropEntries, api)
 	}
+	p.setBlock(pi, im, top)
+	for _, mpi := range im.Order {
+		db.entries[mpi] = im.Entries[mpi]
+	}
+	if oldAddr != 0 {
+		db.retarget(oldAddr, newAddr)
+	}
+	return nil
+}
+
+// setBlock records a freshly linked block at base as the predicate's
+// current one.
+func (p *pred) setBlock(pi term.Indicator, im *asm.Image, base uint32) {
 	p.aux = p.aux[:0]
 	for _, mpi := range im.Order {
 		if mpi != pi {
 			p.aux = append(p.aux, mpi)
 		}
-		db.entries[mpi] = im.Entries[mpi]
-		ch.addEntries = append(ch.addEntries, entryOp{pi: mpi, addr: im.Entries[mpi]})
 	}
-	p.clauses = clauses
-	p.addr = newAddr
-	p.lo, p.hi = top, top+uint32(len(im.Code))
-	if oldAddr != 0 {
-		ch.patches = db.retarget(oldAddr, newAddr)
+	p.addr = im.Entries[pi]
+	p.lo, p.hi = base, base+uint32(len(im.Code))
+}
+
+// compact commits pi's new chain (mod) by re-laying the tail: every
+// live block — the other predicates' current blocks in address order,
+// then pi's — is linked contiguously from baseTop, the entry table is
+// rebuilt from the base entries, and the overlay keeps only retargeted
+// base call sites. The layout is two-pass so that blocks calling each
+// other link in any order: pass 1 fixes every block's address (a
+// block's layout does not depend on where its callees are), pass 2
+// links each block against the final entry table. The database is
+// untouched until the whole new tail has been validated.
+func (db *DB) compact(pi term.Indicator, mod *compiler.Module) error {
+	type block struct {
+		pi   term.Indicator
+		p    *pred
+		mod  *compiler.Module
+		base uint32
+		im   *asm.Image
 	}
-	db.auxSeq = c.AuxBase()
-	db.version++
-	return ch, nil
+	var blocks []block
+	for bpi, bp := range db.preds {
+		if bpi != pi && bp.tailWords(db.baseTop) > 0 {
+			blocks = append(blocks, block{pi: bpi, p: bp, mod: bp.mod})
+		}
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].p.lo < blocks[j].p.lo })
+	blocks = append(blocks, block{pi: pi, p: db.preds[pi], mod: mod})
+
+	// Pass 1: addresses. Linking against the current table resolves
+	// every external, and yields each block's size and own entries at
+	// its final base.
+	entries := make(map[term.Indicator]uint32, len(db.entries))
+	for epi, a := range db.baseEntries {
+		entries[epi] = a
+	}
+	top := db.baseTop
+	for i := range blocks {
+		im, err := asm.LinkAt(blocks[i].mod, top, db.entries)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadClause, err)
+		}
+		blocks[i].base = top
+		for epi, a := range im.Entries {
+			entries[epi] = a
+		}
+		top += uint32(len(im.Code))
+	}
+	// Pass 2: link every block against the final table.
+	tail := make([]word.Word, 0, top-db.baseTop)
+	for i := range blocks {
+		im, err := asm.LinkAt(blocks[i].mod, blocks[i].base, entries)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadClause, err)
+		}
+		blocks[i].im = im
+		tail = append(tail, im.Code...)
+	}
+	if ds := analysis.CheckEncodedCached(tail, db.baseTop, db.baseTop); len(ds) > 0 {
+		return &machine.CodeError{Base: db.baseTop, Diags: ds}
+	}
+
+	// Retarget base call sites in one sweep over an old->new entry
+	// map. New addresses reuse old tail addresses, so retargeting
+	// block by block could move a site twice. Every patched base site
+	// targets the current entry of a predicate with a tail block, so
+	// the map covers all of them.
+	moved := make(map[uint32]uint32, len(blocks))
+	for _, b := range blocks {
+		if b.p.addr != 0 {
+			moved[b.p.addr] = entries[b.pi]
+		}
+	}
+	patches := make(map[uint32]word.Word, len(db.patches))
+	var in kcmisa.Instr
+	for a := uint32(0); a < db.baseTop; {
+		n := kcmisa.DecodeInto(db.codeAt, a, &in)
+		if n <= 0 {
+			n = 1
+		}
+		if in.Op == kcmisa.Call || in.Op == kcmisa.Execute {
+			if to, ok := moved[uint32(in.L)]; ok {
+				patches[a] = db.codeAt(a)&^word.Word(0xFFFFFFFF) | word.Word(to)
+			}
+		}
+		a += uint32(n)
+	}
+
+	for _, b := range blocks {
+		b.p.setBlock(b.pi, b.im, b.base)
+	}
+	db.tail, db.live = tail, len(tail)
+	db.patches, db.entries = patches, entries
+	db.epoch++
+	db.compactions++
+	return nil
 }
 
 // codeAt reads the database's current view of the code space: base
@@ -382,9 +540,8 @@ func (db *DB) codeAt(a uint32) word.Word {
 // updated in place (the tail is private, and a fresh machine loads it
 // wholesale), but every rewrite goes to the overlay, which is how
 // incremental Materialize repairs call sites below an already-synced
-// machine's frontier. Returns the applied patches in address order.
-func (db *DB) retarget(old, new uint32) []patchOp {
-	var out []patchOp
+// machine's frontier.
+func (db *DB) retarget(old, new uint32) {
 	top := db.baseTop + uint32(len(db.tail))
 	var in kcmisa.Instr
 	for a := uint32(0); a < top; {
@@ -402,11 +559,9 @@ func (db *DB) retarget(old, new uint32) []patchOp {
 			// loads only the tail beyond its frontier; the overlay sweep
 			// is what reaches call sites below it.
 			db.patches[a] = w
-			out = append(out, patchOp{addr: a, w: w})
 		}
 		a += uint32(n)
 	}
-	return out
 }
 
 // entriesSnapshot copies the current entry table; callers hold db.mu.

@@ -150,7 +150,7 @@ g(X) :- f1(X), f2(X), f3(X), f4(X), f5(X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Materialize(m); err == nil ||
+	if _, err := db.Materialize(m, m.Snapshot(), dyndb.View{}); err == nil ||
 		!strings.Contains(err.Error(), "outside") {
 		t.Fatalf("foreign frontier: %v", err)
 	}

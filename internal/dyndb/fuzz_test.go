@@ -31,6 +31,22 @@ peek(X) :- p(X).
 // fuzzAtoms is the constant alphabet mutations draw from.
 var fuzzAtoms = [8]string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
+// maxFuzzOps caps one fuzz input's walk. It is well above the number
+// of mutations it takes the two chains to pile up enough dead tail
+// words to compact (compactingOps does so in under 100), so the fuzzer
+// explores interleavings on both sides of a re-layout.
+const maxFuzzOps = 256
+
+// compactingOps is a seed that crosses the compaction threshold: 96
+// assertz ops alternating p and q over the whole alphabet.
+var compactingOps = func() []byte {
+	ops := make([]byte, 96)
+	for i := range ops {
+		ops[i] = byte(i%2) | byte(i%8)<<3
+	}
+	return ops
+}()
+
 // FuzzAssertRetract drives a random interleaving of assertz, asserta
 // and retract over two predicates and checks, after every mutation,
 // that enumeration matches the model database.
@@ -40,62 +56,71 @@ func FuzzAssertRetract(f *testing.F) {
 	f.Add([]byte{0x02, 0x0a, 0x12, 0x06, 0x04})       // asserta stack on p, retracts
 	f.Add([]byte{0x01, 0x09, 0x11, 0x19, 0x05, 0x0d}) // q traffic
 	f.Add([]byte{0x38, 0x30, 0x28, 0x20, 0x3c, 0x34})
+	f.Add(compactingOps)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 48 {
-			ops = ops[:48] // every op re-verifies a growing chain; cap the walk
+		if len(ops) > maxFuzzOps {
+			ops = ops[:maxFuzzOps]
 		}
-		st := mustStore(t, fuzzSrc)
-		model := map[string][]string{"p": nil, "q": nil}
-		for i, op := range ops {
-			pred := "p"
-			if op&1 != 0 {
-				pred = "q"
-			}
-			atom := fuzzAtoms[(op>>3)&7]
-			clause := fmt.Sprintf("%s(%s)", pred, atom)
-			switch (op >> 1) & 3 {
-			case 0, 3: // assertz (3 keeps the op space dense)
-				if err := st.Assertz(pt(t, clause)); err != nil {
-					t.Fatalf("op %d: assertz %s: %v", i, clause, err)
-				}
-				model[pred] = append(model[pred], atom)
-			case 1: // asserta
-				if err := st.Asserta(pt(t, clause)); err != nil {
-					t.Fatalf("op %d: asserta %s: %v", i, clause, err)
-				}
-				model[pred] = append([]string{atom}, model[pred]...)
-			case 2: // retract first occurrence
-				got, err := st.Retract(pt(t, clause))
-				if err != nil {
-					t.Fatalf("op %d: retract %s: %v", i, clause, err)
-				}
-				want := false
-				for j, a := range model[pred] {
-					if a == atom {
-						model[pred] = append(model[pred][:j:j], model[pred][j+1:]...)
-						want = true
-						break
-					}
-				}
-				if got != want {
-					t.Fatalf("op %d: retract %s = %v, model says %v", i, clause, got, want)
-				}
-			}
-			for _, p := range []string{"p", "q"} {
-				want := make([]string, len(model[p]))
-				for j, a := range model[p] {
-					want[j] = "X=" + a
-				}
-				wantSols(t, solve(t, st, p+"(X)", 0), want...)
-			}
-		}
-		// The rule over p/1 tracks too (indexing through a caller).
-		want := make([]string, len(model["p"]))
-		for j, a := range model["p"] {
-			want[j] = "X=" + a
-		}
-		wantSols(t, solve(t, st, "peek(X)", 0), want...)
+		runOps(t, ops)
 	})
+}
+
+// runOps applies one op sequence to a fresh store, checking every
+// step against the model, and returns the store.
+func runOps(t *testing.T, ops []byte) *dyndb.Store {
+	t.Helper()
+	st := mustStore(t, fuzzSrc)
+	model := map[string][]string{"p": nil, "q": nil}
+	for i, op := range ops {
+		pred := "p"
+		if op&1 != 0 {
+			pred = "q"
+		}
+		atom := fuzzAtoms[(op>>3)&7]
+		clause := fmt.Sprintf("%s(%s)", pred, atom)
+		switch (op >> 1) & 3 {
+		case 0, 3: // assertz (3 keeps the op space dense)
+			if err := st.Assertz(pt(t, clause)); err != nil {
+				t.Fatalf("op %d: assertz %s: %v", i, clause, err)
+			}
+			model[pred] = append(model[pred], atom)
+		case 1: // asserta
+			if err := st.Asserta(pt(t, clause)); err != nil {
+				t.Fatalf("op %d: asserta %s: %v", i, clause, err)
+			}
+			model[pred] = append([]string{atom}, model[pred]...)
+		case 2: // retract first occurrence
+			got, err := st.Retract(pt(t, clause))
+			if err != nil {
+				t.Fatalf("op %d: retract %s: %v", i, clause, err)
+			}
+			want := false
+			for j, a := range model[pred] {
+				if a == atom {
+					model[pred] = append(model[pred][:j:j], model[pred][j+1:]...)
+					want = true
+					break
+				}
+			}
+			if got != want {
+				t.Fatalf("op %d: retract %s = %v, model says %v", i, clause, got, want)
+			}
+		}
+		for _, p := range []string{"p", "q"} {
+			want := make([]string, len(model[p]))
+			for j, a := range model[p] {
+				want[j] = "X=" + a
+			}
+			wantSols(t, solve(t, st, p+"(X)", 0), want...)
+		}
+	}
+	// The rule over p/1 tracks too (indexing through a caller).
+	want := make([]string, len(model["p"]))
+	for j, a := range model["p"] {
+		want[j] = "X=" + a
+	}
+	wantSols(t, solve(t, st, "peek(X)", 0), want...)
+	return st
 }
 
 // FuzzMalformedClause asserts arbitrary fuzz-built terms into a
@@ -158,4 +183,9 @@ func TestFuzzSeedsAsUnitTests(t *testing.T) {
 	wantSols(t, solve(t, st, "p(X)", 0), "X=b")
 	wantSols(t, solve(t, st, "q(X)", 0), "X=c")
 	wantSols(t, solve(t, st, "peek(X)", 0), "X=b")
+
+	// The compacting seed does re-lay the tail.
+	if cs := runOps(t, compactingOps).DB().CodeStats(); cs.Compactions == 0 {
+		t.Fatalf("compacting seed never compacted: %+v", cs)
+	}
 }

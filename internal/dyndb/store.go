@@ -22,6 +22,7 @@ import (
 type Store struct {
 	db   *DB
 	m    *machine.Machine
+	boot machine.CodeMark // the machine at boot, for re-installs
 	view View
 }
 
@@ -32,7 +33,7 @@ func NewStore(db *DB, cfg machine.Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{db: db, m: m, view: View{Top: m.CodeTop()}}
+	s := &Store{db: db, m: m, boot: m.Snapshot()}
 	if err := s.sync(); err != nil {
 		return nil, err
 	}
@@ -48,22 +49,16 @@ func (s *Store) DB() *DB { return s.db }
 func (s *Store) Machine() *machine.Machine { return s.m }
 
 // sync brings the machine up to the database's current version: the
-// transient goal block is truncated away, new delta blocks are
-// loaded, call-site patches applied, and entries of replaced blocks
-// unregistered. All writes are diff-aware, so a no-op sync touches
-// nothing.
+// transient goal block is truncated away and the delta topped up —
+// or, after a compaction, re-installed from the boot mark (see
+// Materialize). All writes are diff-aware, so a no-op sync touches
+// nothing. A failed sync forgets the view, so the next one starts
+// from boot.
 func (s *Store) sync() error {
-	if s.m.CodeTop() > s.view.Top {
-		s.m.TruncateCode(s.view.Top)
-	}
-	v, err := s.db.Materialize(s.m)
+	v, err := s.db.Materialize(s.m, s.boot, s.view)
 	if err != nil {
+		s.view = View{}
 		return err
-	}
-	for pi := range s.view.Entries {
-		if _, live := v.Entries[pi]; !live {
-			s.m.UnregisterPred(pi)
-		}
 	}
 	s.view = v
 	return nil

@@ -62,34 +62,18 @@ func (p *Pool) dynFor(m *machine.Machine) *dynState {
 }
 
 // install brings a leased machine to the database's current version:
-// same tenant keeps its delta (dropping only the previous goal block,
-// then topping up any blocks asserted since), any other occupant is
-// rolled back to the boot image first. On error the machine is
-// scrubbed back to its boot state so it can serve the next lease.
+// a machine that last served the same tenant keeps its delta (the
+// previous goal block is dropped and any blocks asserted since are
+// topped up, unless the tenant's tail was compacted meanwhile), any
+// other occupant is rolled back to the boot image first. On error the
+// machine is scrubbed back to its boot state so it can serve the next
+// lease.
 func (p *Pool) install(m *machine.Machine, st *dynState, db *dyndb.DB) error {
-	if st.db == db {
-		if m.CodeTop() > st.view.Top {
-			m.TruncateCode(st.view.Top)
-		}
-		if st.view.Version == db.Version() {
-			return nil
-		}
-		old := st.view.Entries
-		view, err := db.Materialize(m)
-		if err != nil {
-			p.scrub(m, st)
-			return err
-		}
-		for pi := range old {
-			if _, live := view.Entries[pi]; !live {
-				m.UnregisterPred(pi)
-			}
-		}
-		st.view = view
-		return nil
+	have := st.view
+	if st.db != db {
+		have = dyndb.View{}
 	}
-	m.Rollback(st.mark)
-	view, err := db.Materialize(m)
+	view, err := db.Materialize(m, st.mark, have)
 	if err != nil {
 		p.scrub(m, st)
 		return err

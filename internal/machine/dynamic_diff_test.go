@@ -6,11 +6,11 @@ package machine_test
 // caller — identical solution sets in identical order, and, once both
 // machines are warm, identical simulated cycle and cache counters.
 // The second half is the strong claim: the assert-built image carries
-// stub blocks and the dead remnants of every per-mutation rebuild,
-// laid out at different addresses than the static image, so equal
-// warm counters mean the dynamic compiler emits the same instruction
-// streams and the memory system's behaviour is layout-independent
-// once everything is cache-resident.
+// stub blocks and the dead remnants of per-mutation rebuilds (or, past
+// a tail compaction, re-laid blocks), at different addresses than the
+// static image, so equal warm counters mean the dynamic compiler
+// emits the same instruction streams and the memory system's
+// behaviour is layout-independent once everything is cache-resident.
 
 import (
 	"context"
@@ -27,13 +27,17 @@ import (
 	"repro/internal/term"
 )
 
-// diffPrograms: three suite programs, seven dynamic predicates, two
+// diffPrograms: four suite programs, nine dynamic predicates, two
 // goals each. Every predicate is declared dynamic so the assert-built
-// twin can construct the whole program at runtime.
+// twin can construct the whole program at runtime. Programs marked
+// compacts grow a chain long enough that building them clause by
+// clause compacts the tenant tail at least once, so the assert-built
+// twin runs on re-laid code.
 var diffPrograms = []struct {
-	name  string
-	src   string
-	goals []string
+	name     string
+	src      string
+	goals    []string
+	compacts bool
 }{
 	{
 		name: "colors",
@@ -74,6 +78,37 @@ member(X, [X|_]).
 member(X, [_|T]) :- member(X, T).
 `,
 		goals: []string{"anc(a, X).", "member(X, [r,s,t])."},
+	},
+	{
+		name: "graph",
+		src: `
+:- dynamic(edge/2).
+:- dynamic(path/2).
+edge(n1, n2).
+edge(n2, n3).
+edge(n3, n4).
+edge(n4, n5).
+edge(n5, n6).
+edge(n6, n7).
+edge(n7, n8).
+edge(n8, n9).
+edge(n9, n10).
+edge(n10, n11).
+edge(n11, n12).
+edge(n12, n13).
+edge(n1, n14).
+edge(n14, n15).
+edge(n15, n16).
+edge(n16, n17).
+edge(n3, n18).
+edge(n18, n19).
+edge(n19, n20).
+edge(n20, n21).
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- edge(X, Y), path(Y, Z).
+`,
+		goals:    []string{"path(n1, X).", "path(X, n21)."},
+		compacts: true,
 	},
 }
 
@@ -138,8 +173,9 @@ func runStatic(t *testing.T, src, goal string) ([]string, machine.Result) {
 // runAsserted builds the same program clause by clause through the
 // dynamic database — every predicate chain grows one assertz at a
 // time, with a full rebuild and re-admission per mutation — then runs
-// the goal twice like runStatic.
-func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result) {
+// the goal twice like runStatic. It also returns the tenant tail's
+// code statistics.
+func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result, dyndb.CodeStats) {
 	t.Helper()
 	im, ds, err := core.MustLoad(src).BaseImage()
 	if err != nil {
@@ -171,7 +207,8 @@ func runAsserted(t *testing.T, src, goal string) ([]string, machine.Result) {
 	m := st.Machine()
 	enumerate(t, m, entry, vars)
 	m.ResetStats()
-	return enumerate(t, m, entry, vars)
+	sols, res := enumerate(t, m, entry, vars)
+	return sols, res, db.CodeStats()
 }
 
 func TestDynamicDifferential(t *testing.T) {
@@ -180,7 +217,10 @@ func TestDynamicDifferential(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			for _, goal := range p.goals {
 				sSols, sRes := runStatic(t, p.src, goal)
-				dSols, dRes := runAsserted(t, p.src, goal)
+				dSols, dRes, cs := runAsserted(t, p.src, goal)
+				if p.compacts && cs.Compactions == 0 {
+					t.Fatalf("%s: the assert-built twin never compacted its tail: %+v", goal, cs)
+				}
 
 				if len(sSols) == 0 {
 					t.Fatalf("%s: static run found no solutions — the goal exercises nothing", goal)

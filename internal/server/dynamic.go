@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -82,15 +81,21 @@ func (s *Server) tenantDB(program, tenant string) (*dyndb.DB, error) {
 	return db, nil
 }
 
-// tenantCount is the live database count across programs, for stats.
-func (s *Server) tenantCount() int {
+// tenantStats counts the live tenant databases across programs and
+// sums their code tails, for stats.
+func (s *Server) tenantStats() (n int, code wire.TenantCode) {
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
-	n := 0
 	for _, dp := range s.dynProgs {
-		n += len(dp.tenants)
+		for _, db := range dp.tenants {
+			cs := db.CodeStats()
+			code.LiveWords += cs.LiveWords
+			code.TailWords += cs.TailWords
+			code.Compactions += cs.Compactions
+			n++
+		}
 	}
-	return n
+	return n, code
 }
 
 // begin leases a session for one query request: the compile-once
@@ -159,8 +164,7 @@ func mutationStatus(err error) int {
 // next lease.
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	var req wire.AssertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {
@@ -198,8 +202,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 // database; Status "no" reports that nothing matched.
 func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 	var req wire.RetractRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {

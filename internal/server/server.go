@@ -88,6 +88,17 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
+// Fixed bounds on what one HTTP client can make the daemon hold.
+const (
+	// maxBodyBytes caps every /v1/* request body; a longer body is
+	// refused with 413 Request Entity Too Large.
+	maxBodyBytes = 1 << 20
+	// readHeaderTimeout bounds how long a connection may take to send
+	// its request headers, so slow-header clients cannot pin
+	// connections open.
+	readHeaderTimeout = 5 * time.Second
+)
+
 // imageKey identifies one compile-once image: a goal text against a
 // named program.
 type imageKey struct {
@@ -150,7 +161,28 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/assert", s.handleAssert)
 	mux.HandleFunc("POST /v1/retract", s.handleRetract)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// decodeRequest reads a JSON request body into v. A body over
+// maxBodyBytes is answered with 413, any other decode failure with
+// 400; the return value reports whether the handler may go on.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorReply(fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)))
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	return false
 }
 
 // Serve starts the eviction janitor and serves HTTP on l until Drain
@@ -158,7 +190,7 @@ func (s *Server) Handler() http.Handler {
 // clean drain, mirroring net/http.
 func (s *Server) Serve(l net.Listener) error {
 	s.listener = l
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	s.wg.Add(1)
 	go s.evictLoop()
 	return s.httpSrv.Serve(l)
@@ -335,8 +367,7 @@ func errorReply(err error) wire.Reply {
 // only serializes their wire values onto the connection.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if s.draining.Load() {
@@ -450,8 +481,7 @@ func resumableErr(sess *engine.Session) bool {
 // handleNext resumes a parked session by one slice.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	var req wire.NextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	rep, code := s.runNext(r.Context(), req)
@@ -543,8 +573,7 @@ func reasonReply(reason doneReason, id string) (wire.Reply, int) {
 // handleCancel discards a parked session.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	var req wire.CancelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(fmt.Errorf("bad request: %w", err)))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	e, ok := s.sessions.get(req.Session)
@@ -600,16 +629,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	tenants, code := s.tenantStats()
 	writeJSON(w, http.StatusOK, wire.StatsReply{
 		Programs: names,
 		Pool: wire.PoolStats{
 			Size: ps.Size, Images: ps.Images, Built: ps.Built,
 			Idle: ps.Idle, InUse: ps.InUse,
 		},
-		Sessions: ss,
-		Totals:   tot,
-		Tenants:  s.tenantCount(),
-		Draining: s.draining.Load(),
+		Sessions:   ss,
+		Totals:     tot,
+		Tenants:    tenants,
+		TenantCode: code,
+		Draining:   s.draining.Load(),
 	})
 }
 

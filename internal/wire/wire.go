@@ -211,6 +211,18 @@ type StatsReply struct {
 	Sessions SessionStats `json:"sessions"`
 	Totals   Totals       `json:"totals"`
 	// Tenants counts the live per-tenant databases across programs.
-	Tenants  int  `json:"tenants,omitempty"`
-	Draining bool `json:"draining"`
+	Tenants int `json:"tenants,omitempty"`
+	// TenantCode sums the tenant databases' private code tails.
+	TenantCode TenantCode `json:"tenant_code"`
+	Draining   bool       `json:"draining"`
+}
+
+// TenantCode is the private code the tenant databases hold, in code
+// words, summed over tenants. Each tail is compacted once its dead
+// words outgrow its live ones by a fixed floor, so under steady
+// writes TailWords stays flat instead of growing with every write.
+type TenantCode struct {
+	LiveWords   int    `json:"live_words"`  // words of current predicate blocks
+	TailWords   int    `json:"tail_words"`  // all tail words, current and superseded
+	Compactions uint64 `json:"compactions"` // tail re-layouts so far
 }

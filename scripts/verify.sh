@@ -26,8 +26,13 @@ go test -race ./...
 echo '== engine pool race tests (plain and traced/profiled)'
 go test -race -run 'TestPoolRace|TestPoolTraceRace' ./internal/engine/
 
-echo '== dynamic differential gate (assert-built == statically-compiled, incl. warm counters)'
+echo '== dynamic differential gate (assert-built == statically-compiled, incl. warm counters and a tail compaction; re-install across a re-layout)'
 go test -count=1 -run 'TestDynamicDifferential' ./internal/machine/
+go test -count=1 -run 'TestCompactionReinstallsStore|TestCompactionMutualRecursion' ./internal/dyndb/
+go test -count=1 -run 'TestPooledMachineAcrossCompaction|TestParkedBlobStaleAcrossCompaction' ./internal/engine/
+
+echo '== tenant tail bound (tail words <= 2*live + CompactFloor after every one of 2000 writes on 4 tenants)'
+go test -count=1 -run 'TestTailBound' ./internal/dyndb/
 
 echo '== dyndb fuzz smoke (assert/retract vs model, malformed-clause rejection)'
 go test -count=1 -run '^$' -fuzz 'FuzzAssertRetract' -fuzztime 5s ./internal/dyndb/
