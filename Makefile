@@ -27,9 +27,9 @@ lint:
 fmt:
 	gofmt -w .
 
-# Host wall-clock benchmarks (BenchmarkHost*): best-of-N runs recorded
-# in BENCH_$(BENCH_N).json; compare two recordings with
-# scripts/benchcmp.sh.
+# Host wall-clock benchmarks (BenchmarkHost*): median and range of N
+# runs, with a host fingerprint, recorded in BENCH_$(BENCH_N).json;
+# compare two recordings with scripts/benchcmp.sh.
 bench:
 	sh scripts/hostbench.sh $(BENCH_N)
 

@@ -148,14 +148,13 @@ func TestSessionSetBudget(t *testing.T) {
 }
 
 // TestPoolOptions: New's functional options mirror core — pool size,
-// fusion toggle, profiling, and auto-warm.
+// profiling, and auto-warm.
 func TestPoolOptions(t *testing.T) {
 	im := compileImage(t, nrevSrc, "nrev([1,2,3,4,5], R).")
 
 	pool := engine.New(
 		engine.WithConfig(machine.Config{}),
 		engine.WithPoolSize(2),
-		engine.WithFusion(false),
 		engine.WithProfiling(true),
 		engine.WithWarm(true),
 	)
@@ -165,9 +164,6 @@ func TestPoolOptions(t *testing.T) {
 	sol, err := pool.Query(context.Background(), im)
 	if err != nil || !sol.Success {
 		t.Fatalf("query: %v %v", err, sol)
-	}
-	if sol.Result.Fusion.Runs != 0 {
-		t.Fatalf("WithFusion(false) still installed %d fused runs", sol.Result.Fusion.Runs)
 	}
 	// WithWarm built and warmed the full complement before the query.
 	if st := pool.Stats(); st.Built != 2 || st.InUse != 0 {

@@ -219,7 +219,6 @@ drain:
 			p.mu.Unlock()
 			return nil, nil, err
 		}
-		m.WarmFusion()
 		return m, ip, nil
 	}
 	p.mu.Unlock()

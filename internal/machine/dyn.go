@@ -23,7 +23,7 @@ import (
 //
 // Every write path is diff-aware: a word already holding its target
 // value is skipped entirely, and only the span that actually changed
-// is invalidated (code cache, predecode, fused handlers, facts). This
+// is invalidated (code cache and predecode). This
 // is what scopes invalidation to the mutated predicate — reinstalling
 // an unchanged delta on a warm machine touches nothing — and what
 // makes copy-on-write image sharing cheap: rolling a machine back and
@@ -78,13 +78,6 @@ func (m *Machine) Rollback(mk CodeMark) {
 	// delta, in which case no LoadDyn/PatchDyn follows to do it, and a
 	// run would execute stale predecoded instructions.
 	m.flushDyn()
-	if mk.top < m.codeTop {
-		// Content above the mark is untouched (it may be reloaded
-		// verbatim), but the predicates rooted there are gone, so the
-		// facts artifact must recompute the affected components with
-		// the restored entry table.
-		m.invalidateFacts(mk.top, m.codeTop)
-	}
 	m.codeTop = mk.top
 	m.growPredecode(m.codeTop)
 	m.entries = make(map[term.Indicator]uint32, len(mk.entries))
@@ -109,30 +102,22 @@ func (m *Machine) TruncateCode(top uint32) {
 	if top == m.codeTop {
 		return
 	}
-	m.invalidateFacts(top, m.codeTop)
 	m.codeTop = top
 	m.growPredecode(top)
 }
 
 // UnregisterPred removes a predicate from the machine's entry table
 // (the inverse of RegisterPred): the clause store drops a replaced
-// block's auxiliary entries so the analyzer's partition tracks the
-// live code.
+// block's auxiliary entries so the entry table tracks the live code.
 func (m *Machine) UnregisterPred(pi term.Indicator) {
-	addr, ok := m.entries[pi]
-	if !ok {
+	if _, ok := m.entries[pi]; !ok {
 		return
 	}
 	delete(m.entries, pi)
 	if idx, ok := m.syms.Lookup(pi.Name); ok {
 		delete(m.preds, uint64(idx)<<8|uint64(pi.Arity&0xff))
 	}
-	m.invalidateFacts(addr, m.codeTop)
 }
-
-// CodeWordAt reads a loaded code word from the host-side shadow
-// (untimed; no simulated state is touched).
-func (m *Machine) CodeWordAt(a uint32) word.Word { return m.shadowFetch(a) }
 
 // writeDyn writes one word to code-space physical memory, mirrors it
 // into the shadow and merges it into the pending dirty span. The
@@ -158,8 +143,8 @@ func (m *Machine) writeDyn(a uint32, w word.Word) {
 }
 
 // flushDyn invalidates everything covering the pending dirty span:
-// simulated code-cache lines (the writes bypassed the cache), the
-// facts artifact, predecoded entries and fused handlers.
+// simulated code-cache lines (the writes bypassed the cache) and
+// predecoded entries.
 func (m *Machine) flushDyn() {
 	if !m.dynDirty {
 		return
@@ -167,9 +152,7 @@ func (m *Machine) flushDyn() {
 	lo, hi := m.dynLo, m.dynHi
 	m.dynDirty = false
 	m.icache.InvalidateRange(lo, hi)
-	m.invalidateFacts(lo, hi)
 	m.invalidatePredecode(lo, hi)
-	m.invalidateFused(lo, hi)
 }
 
 // LoadDyn loads a freshly linked code block at CodeTop, untimed, and
@@ -178,7 +161,7 @@ func (m *Machine) flushDyn() {
 // before any word lands); unlike LoadIncremental no simulated cycles
 // are charged, and words that already hold their target value — a
 // rolled-back machine reloading the same tenant's delta — are skipped,
-// keeping their cache residency, predecode and fused handlers.
+// keeping their cache residency and predecode.
 func (m *Machine) LoadDyn(code []word.Word) (uint32, error) {
 	base := m.codeTop
 	if len(code) == 0 {

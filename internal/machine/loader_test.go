@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/reader"
@@ -169,5 +170,42 @@ func TestLoadSequence(t *testing.T) {
 	}
 	if n := m.QueryBindings(im3.QueryVars)[term.Var("N")]; n.String() != "8" {
 		t.Fatalf("N = %v", n)
+	}
+}
+
+// TestVerdictCachePoolPath asserts the loader goes through the verdict
+// cache: constructing two machines from one image re-checks the same
+// block and the second check must be a hit.
+func TestVerdictCachePoolPath(t *testing.T) {
+	c := compiler.New(nil)
+	mod := compileModule(t, c, `
+p(1).
+`)
+	goal, err := reader.ParseTerm("p(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CompileQuery(mod, goal); err != nil {
+		t.Fatal(err)
+	}
+	im, err := asm.Link(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis.ResetVerdictCache()
+	defer analysis.ResetVerdictCache()
+	if _, err := New(im, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	_, missesBefore := analysis.VerdictCacheStats()
+	if _, err := New(im, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := analysis.VerdictCacheStats()
+	if misses != missesBefore {
+		t.Fatalf("second construction missed the cache (misses %d -> %d)", missesBefore, misses)
+	}
+	if hits == 0 {
+		t.Fatal("second construction produced no cache hit")
 	}
 }

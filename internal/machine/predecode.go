@@ -33,16 +33,9 @@ import (
 // cache, and residency is monotone (the code image fits in the cache,
 // so no conflict can evict a line), future replays are a bare
 // NoteReads — same statistics, no per-word tag checks.
-// A second flag marks the head of an installed fused run (fuse.go):
-// the dispatch loop already loads pwidth every step, so testing a bit
-// there costs nothing, where probing the sparse fused-handler table
-// per step would add a dependent pointer load to every instruction.
-// Width and flag travel together: installLicense predecodes the head
-// when it sets the flag, and every invalidation path clears both.
 const (
 	pwResident  = 1 << 15
-	pwFusedHead = 1 << 14
-	pwWidthMask = pwFusedHead - 1
+	pwWidthMask = pwResident - 1
 )
 
 // growPredecode extends the predecode tables to cover [0, top),

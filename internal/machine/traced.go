@@ -72,7 +72,6 @@ func (m *Machine) Hook() trace.Hook { return m.hook }
 func (m *Machine) stepsTraced(limit uint64) uint64 {
 	steps := uint64(0)
 	instrumented := m.prof != nil || m.hostProf != nil
-	fuseOK := m.fused != nil && m.cfg.Trace == nil
 	for !m.halted && m.err == nil && steps < limit {
 		addr := m.p
 		m.traceP = addr
@@ -82,18 +81,6 @@ func (m *Machine) stepsTraced(limit uint64) uint64 {
 		var nw int
 		if int64(addr) < int64(len(m.pwidth)) {
 			w := m.pwidth[addr]
-			if w&pwFusedHead != 0 && fuseOK {
-				// Mirror of the fused dispatch in steps(): the traced
-				// twin of the handler emits the identical event stream.
-				if f := m.fused[addr]; f != nil && steps+uint64(len(f.instrs)) <= limit {
-					ex, fa := m.runFusedTraced(f, instrumented)
-					steps += ex
-					if m.err != nil && m.recoverHeap(fa) {
-						m.p = fa
-					}
-					continue
-				}
-			}
 			steps++
 			in = &m.pdec[addr]
 			if w != 0 {

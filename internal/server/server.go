@@ -41,7 +41,7 @@ type Config struct {
 	// Programs maps a program name to its Prolog source text.
 	Programs map[string]string
 	// PoolOptions configure the machine pool (engine.WithPoolSize,
-	// engine.WithWarm, engine.WithFusion, engine.WithProfiling, ...).
+	// engine.WithWarm, engine.WithProfiling, ...).
 	PoolOptions []engine.PoolOption
 	// DefaultBudget is the per-slice step budget when a request
 	// carries none (default 50M instructions).
@@ -326,8 +326,6 @@ func (s *Server) account(sess *engine.Session, errored bool) {
 	s.totals.Inferences += res.Stats.Inferences
 	s.totals.GCCollections += res.GC.Collections
 	s.totals.GCCycles += res.GC.Cycles
-	s.totals.FusionDispatch += res.Fusion.Dispatches
-	s.totals.FusedSteps += res.Fusion.FusedSteps
 }
 
 // counters renders a session-cumulative machine.Result on the wire.
@@ -339,7 +337,6 @@ func counters(res machine.Result) *wire.Counters {
 		Millis:        res.Stats.Millis(),
 		GCCollections: res.GC.Collections,
 		GCCycles:      res.GC.Cycles,
-		FusedSteps:    res.Fusion.FusedSteps,
 	}
 }
 

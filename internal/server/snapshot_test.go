@@ -333,7 +333,7 @@ func TestDoneReasonsTyped(t *testing.T) {
 
 // TestEvictSuspendCancelRace hammers one session id from concurrent
 // next, cancel and suspend requests while the janitor evicts on a
-// short fuse: whatever interleaving wins, every response must be one
+// short idle timeout: whatever interleaving wins, every response must be one
 // of the typed outcomes — never a 5xx, never a transport error. Run
 // under -race this is the regression test for the touch-then-evict
 // atomicity and the done-reason protocol.

@@ -37,7 +37,7 @@ func sample() *State {
 		DataPages: []mmu.PageEntry{{VPage: 4, Frame: 1}},
 		CodePages: []mmu.PageEntry{{VPage: 0, Frame: 0}},
 		FrameNext: 2, OpenRow: 9, OpenRowOK: true,
-		Counters: Counters{NsPerCycle: 80, Cycles: 1000, Instrs: 200, FuseSteps: 3},
+		Counters: Counters{NsPerCycle: 80, Cycles: 1000, Instrs: 200, CPWords: 3},
 		GC:       GCCounters{Collections: 2, LiveWords: 50, FreedWords: 70, TrailDrops: 1, Cycles: 480},
 		DCache:   cache.Stats{Reads: 500, Writes: 300, ReadMiss: 20, WriteMiss: 10, WriteBacks: 5},
 		CCache:   cache.Stats{Reads: 800, ReadMiss: 30},
@@ -104,6 +104,20 @@ func TestVersionSkew(t *testing.T) {
 	mut[len(Magic)] = Version + 1
 	if _, err := Decode(mut); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version skew: %v, want ErrVersion", err)
+	}
+}
+
+// TestVersion1Refused: a blob in format version 1, which still
+// carried two host-side dispatch counters in its Counters section, is
+// refused with ErrVersion rather than misread under the version 2
+// layout. The checksum covers only the payload, so the rewritten
+// header leaves an otherwise intact blob: the version check alone
+// must refuse it.
+func TestVersion1Refused(t *testing.T) {
+	v1 := append([]byte(nil), Encode(sample())...)
+	copy(v1[len(Magic):], []byte{1, 0, 0, 0})
+	if _, err := Decode(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 1 blob: %v, want ErrVersion", err)
 	}
 }
 

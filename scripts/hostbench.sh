@@ -1,15 +1,17 @@
 #!/bin/sh
 # Host-benchmark recorder: runs the BenchmarkHost* suite (host
 # wall-clock cost of the simulator, as opposed to the simulated
-# numbers in the kcmbench tables) and records the best-of-N results
-# in BENCH_<n>.json.
+# numbers in the kcmbench tables) and records, per benchmark, the
+# median, minimum and maximum ns/op over the repetitions in
+# BENCH_<n>.json, together with a host fingerprint (CPU model, CPU
+# count, Go version).
 #
 #   scripts/hostbench.sh [n]        # writes BENCH_<n>.json (default n=0)
 #
 # Environment:
-#   HOSTBENCH_COUNT     repetitions per benchmark; the minimum is kept
-#                       (default 5 — the host is shared, single runs
-#                       are noisy)
+#   HOSTBENCH_COUNT     repetitions per benchmark (default 5 — the host
+#                       is shared and single runs are noisy, so the
+#                       spread is recorded beside the median)
 #   HOSTBENCH_TIME      go -benchtime per repetition (default 1s)
 #   HOSTBENCH_BASELINE  path to a previously generated BENCH_*.json;
 #                       its benchmark block is embedded as "baseline"
@@ -27,25 +29,17 @@ trap 'rm -f "$raw"' EXIT
 go test -run '^$' -bench '^BenchmarkHost' -benchmem -benchtime "$btime" -count "$count" . | tee "$raw"
 # The pool benchmark again at explicit parallelism levels: entries keep
 # their -cpu suffix (PoolNrev-4, PoolNrev-8) so the file records the
-# scaling curve. On a single-core host the curve is flat; host_cpus
-# below says which case this file is.
+# scaling curve. Scaling is bounded by the host's CPU count, which the
+# fingerprint below records.
 go test -run '^$' -bench '^BenchmarkHostPoolNrev$' -benchmem -benchtime "$btime" -count "$count" -cpu 1,4,8 . | tee -a "$raw"
 
-# The unfused control column: the same warm benchmarks with the
-# superinstruction fusion tier off (KCM_FUSE=off, see hostbench_test.go).
-# Simulated metrics are identical by construction; the ns/op delta is
-# the fusion tier's host-side win.
-rawoff=$(mktemp)
-trap 'rm -f "$raw" "$rawoff"' EXIT
-KCM_FUSE=off go test -run '^$' -bench '^BenchmarkHost(Nrev|Qsort|Queens|Zebra)$' -benchmem -benchtime "$btime" -count "$count" . | tee "$rawoff"
-
+cpu=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
 {
     printf '{\n'
     printf '  "bench_id": "%s",\n' "$n"
-    printf '  "host_cpus": %s,\n' "$(nproc)"
-    printf '  "note": "PoolNrev-N records warm-pool query throughput at GOMAXPROCS=N; scaling is bounded by host_cpus (flat when host_cpus=1)",\n'
-    printf '  "protocol": "min of %s runs x %s, warm machine (see hostbench_test.go)",\n' "$count" "$btime"
-    printf '  "fusion": "on",\n'
+    printf '  "host": {"cpu_model": "%s", "nproc": %s, "go_version": "%s"},\n' \
+        "${cpu:-unknown}" "$(nproc)" "$(go env GOVERSION) $(go env GOOS)/$(go env GOARCH)"
+    printf '  "protocol": "%s runs x %s per benchmark, warm machine (see hostbench_test.go); ns_op is the median, ns_min/ns_max the range; bytes_op/allocs_op are the largest seen",\n' "$count" "$btime"
     printf '  "benchmarks": {\n'
     awk '
     /^BenchmarkHost/ {
@@ -56,46 +50,33 @@ KCM_FUSE=off go test -run '^$' -bench '^BenchmarkHost(Nrev|Qsort|Queens|Zebra)$'
         if (name !~ /^Pool/) sub(/-[0-9]+$/, "", name)
         delete v
         for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
-        if (!(name in ns)) { order[++m] = name }
-        if (!(name in ns) || v["ns/op"] + 0 < ns[name] + 0) {
-            ns[name]     = v["ns/op"] + 0
-            bytes[name]  = v["B/op"] + 0
-            allocs[name] = v["allocs/op"] + 0
-            klips[name]  = v["simulated-Klips"] + 0
-            mips[name]   = v["host-Mips"] + 0
-            fused[name]  = v["fused-handlers"] + 0
-        }
+        if (!(name in cnt)) { order[++m] = name }
+        k = ++cnt[name]
+        ns[name, k]   = v["ns/op"] + 0
+        mips[name, k] = v["host-Mips"] + 0
+        klips[name]   = v["simulated-Klips"] + 0
+        if (k == 1 || v["B/op"] + 0 > bytes[name])      bytes[name]  = v["B/op"] + 0
+        if (k == 1 || v["allocs/op"] + 0 > allocs[name]) allocs[name] = v["allocs/op"] + 0
+    }
+    # median NAME ARRAY: sorts the NAME entries of ARRAY in place and
+    # returns their median.
+    function median(name, a,    i, j, c, t) {
+        c = cnt[name]
+        for (i = 2; i <= c; i++)
+            for (j = i; j > 1 && a[name, j - 1] > a[name, j]; j--) {
+                t = a[name, j]; a[name, j] = a[name, j - 1]; a[name, j - 1] = t
+            }
+        if (c % 2) return a[name, (c + 1) / 2]
+        return (a[name, c / 2] + a[name, c / 2 + 1]) / 2
     }
     END {
         for (i = 1; i <= m; i++) {
             b = order[i]
-            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f, \"fused_handlers\": %d}%s\n",
-                b, ns[b], bytes[b], allocs[b], klips[b], mips[b], fused[b], (i < m) ? "," : ""
+            med = median(b, ns)
+            printf "    \"%s\": {\"ns_op\": %d, \"ns_min\": %d, \"ns_max\": %d, \"bytes_op\": %d, \"allocs_op\": %d, \"simulated_klips\": %.1f, \"host_mips\": %.1f}%s\n",
+                b, med, ns[b, 1], ns[b, cnt[b]], bytes[b], allocs[b], klips[b], median(b, mips), (i < m) ? "," : ""
         }
     }' "$raw"
-    printf '  },\n'
-    printf '  "control_nofuse": {\n'
-    awk '
-    /^BenchmarkHost/ {
-        name = $1
-        sub(/^BenchmarkHost/, "", name)
-        sub(/-[0-9]+$/, "", name)
-        delete v
-        for (i = 3; i < NF; i += 2) v[$(i + 1)] = $i
-        if (!(name in ns)) { order[++m] = name }
-        if (!(name in ns) || v["ns/op"] + 0 < ns[name] + 0) {
-            ns[name]     = v["ns/op"] + 0
-            bytes[name]  = v["B/op"] + 0
-            allocs[name] = v["allocs/op"] + 0
-        }
-    }
-    END {
-        for (i = 1; i <= m; i++) {
-            b = order[i]
-            printf "    \"%s\": {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d}%s\n",
-                b, ns[b], bytes[b], allocs[b], (i < m) ? "," : ""
-        }
-    }' "$rawoff"
     printf '  }'
     if [ -n "${HOSTBENCH_BASELINE:-}" ] && [ -f "${HOSTBENCH_BASELINE}" ]; then
         printf ',\n  "baseline": {\n'
