@@ -218,7 +218,7 @@ func main() {
 	clients := flag.Int("clients", 8, "concurrent clients for -serve")
 	queries := flag.Int("queries", 40, "ops per client for -serve")
 	rate := flag.Float64("rate", 0, "target ops/s per client for -serve (0 = open throttle)")
-	servePool := flag.Int("servepool", 0, "machines per image for -serve (0 = GOMAXPROCS)")
+	servePool := flag.Int("servepool", 0, "machines per program for -serve (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to `file`")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the simulator to `file`")
 	hostprofile := flag.String("hostprofile", "", "print the per-opcode host-time profile of one benchmark `program` and exit")

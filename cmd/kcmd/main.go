@@ -1,6 +1,7 @@
 // Command kcmd is the KCM query daemon: a network front-end over the
 // warm-machine pool. It loads Prolog programs at startup, compiles
-// each distinct goal once, and serves solutions over HTTP/JSON — one
+// each program once into a base image and each distinct goal once into
+// a block linked above it, and serves solutions over HTTP/JSON — one
 // endpoint per verb (query, next-solution, cancel, stats) plus an
 // NDJSON streaming mode for multi-solution enumeration. Per-request
 // deadlines and step budgets map onto the machine's resumable
@@ -63,8 +64,8 @@ member(X, [_|T]) :- member(X, T).
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7071", "listen address (use :0 for an ephemeral port)")
-		poolSize = flag.Int("pool", 0, "machines per image (0 = GOMAXPROCS)")
-		warm     = flag.Bool("warm", false, "warm each image's machines on first use (paper protocol)")
+		poolSize = flag.Int("pool", 0, "machines per program (0 = GOMAXPROCS)")
+		warm     = flag.Bool("warm", false, "build each program's machines on its first query, not under load")
 		prof     = flag.Bool("profile", false, "pool-wide per-predicate cycle profiling")
 		budget   = flag.Uint64("budget", 0, "default step budget per execution slice (0 = 50M)")
 		timeout  = flag.Duration("timeout", 0, "default wall-clock bound per request slice (0 = 30s)")

@@ -224,7 +224,7 @@ func checkStepsAllocs(fset *token.FileSet, pf parsedFile) []finding {
 // leaseCalls are the method names that hand a pooled machine to the
 // caller; closeCalls are the names that give it back.
 var (
-	leaseCalls = map[string]bool{"Begin": true, "Acquire": true}
+	leaseCalls = map[string]bool{"Begin": true, "Lease": true, "Acquire": true}
 	closeCalls = map[string]bool{"Close": true, "Release": true}
 )
 
@@ -254,8 +254,8 @@ func responseWriterParams(ft *ast.FuncType) map[string]bool {
 
 // checkMachineAcrossWrite enforces the kcmd handler discipline: a
 // function that holds both a network connection (an
-// http.ResponseWriter parameter) and a pooled machine (a .Begin or
-// .Acquire call) must release the machine — a non-deferred .Close or
+// http.ResponseWriter parameter) and a pooled machine (a .Begin,
+// .Lease or .Acquire call) must release the machine — a non-deferred .Close or
 // .Release — before the writer is touched or passed anywhere. A
 // deferred Close holds the machine to function end, so any writer use
 // after the lease counts. A slow client must never hold a machine

@@ -15,7 +15,7 @@
 //     a sink that silently drops unknown kinds corrupts analyses
 //     downstream;
 //   - a function holding both an http.ResponseWriter parameter and a
-//     pooled machine (a .Begin/.Acquire call) must release the machine
+//     pooled machine (a .Begin/.Lease/.Acquire call) must release the machine
 //     with a non-deferred .Close/.Release before touching the writer:
 //     a slow client must never hold a machine hostage, so handlers
 //     delegate to writer-free run functions (the kcmd discipline).

@@ -108,7 +108,7 @@ func TestParkedBlobStaleAcrossCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	live = writeUntilCompacted(t, db, live, 3)
-	if _, err := pool.ResumeDyn(context.Background(), db, goal, blob); !errors.Is(err, engine.ErrStaleDelta) {
+	if _, err := resume(t, pool, db, goal, blob); !errors.Is(err, engine.ErrStaleDelta) {
 		t.Fatalf("resume across compaction: %v, want ErrStaleDelta", err)
 	}
 	if got := collect(t, pool, db, "likes(X)"); strings.Join(got, " ") != strings.Join(live, " ") {

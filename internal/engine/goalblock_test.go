@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -77,4 +79,79 @@ func TestGoalBlockLoadAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocs per tenant query with a new goal block, want <= %d",
 			allocs, goalBlockAllocBound)
 	}
+}
+
+// smallGoals are the four goal texts of the kcmd benchmark's small
+// workload: two single-shot nrev queries, a member enumeration and an
+// app enumeration.
+var smallGoals = [4]string{
+	"nrev([31,7,88,2,64,19,53,70,11,45,96,28], R)",
+	"nrev([5,77,40,13,92,61,8,34,26,83,50,17], R)",
+	"member(X, [q,w,e,r,t])",
+	"app(X, Y, [4,81,36,9,67,22,58,90,15])",
+}
+
+// TestSeedLeaseAllocs: serving a goal as a cached block over the
+// program's seed database costs no more host allocations than serving
+// it from its own whole-program image. One machine alternates the four
+// small-workload goals either way, so every lease swaps goal code.
+func TestSeedLeaseAllocs(t *testing.T) {
+	ctx := context.Background()
+	prog := core.MustLoad(kbSrc)
+	static := engine.New(engine.WithPoolSize(1))
+	var images [len(smallGoals)]*asm.Image
+	seed := seedDB(t, kbSrc)
+	served := engine.New(engine.WithPoolSize(1))
+	var goals [len(smallGoals)]*engine.Goal
+	for i, text := range smallGoals {
+		im, err := prog.CompileQuery(text + ".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[i] = im
+		if goals[i], err = engine.CompileGoal(seed, parse(t, text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(lease func(i int) (*engine.Session, error)) float64 {
+		i := 0
+		query := func() {
+			g := i % len(smallGoals)
+			i++
+			s, err := lease(g)
+			if err != nil {
+				t.Fatalf("%q: %v", smallGoals[g], err)
+			}
+			if !s.Next(ctx) {
+				t.Fatalf("%q: no solution (%v)", smallGoals[g], s.Err())
+			}
+			s.Close()
+		}
+		for range smallGoals {
+			query()
+		}
+		return testing.AllocsPerRun(100, query)
+	}
+	want := run(func(i int) (*engine.Session, error) { return static.Begin(ctx, images[i]) })
+	got := run(func(i int) (*engine.Session, error) { return served.Lease(ctx, seed, goals[i], nil) })
+	t.Logf("%.1f allocs per seed lease, %.1f per whole-program Begin", got, want)
+	if got > want+4 {
+		t.Fatalf("%.1f allocs per seed lease, want <= %.1f (whole-program Begin) + 4", got, want)
+	}
+}
+
+// TestLeaseWarmBuildsComplement: with WithWarm, the first lease of a
+// base image builds the image's full machine complement, so no later
+// lease builds a machine under load.
+func TestLeaseWarmBuildsComplement(t *testing.T) {
+	seed := seedDB(t, kbSrc)
+	pool := engine.New(engine.WithPoolSize(3), engine.WithWarm(true))
+	s, err := pool.BeginDyn(context.Background(), seed, parse(t, "member(X, [a])"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Built != 3 || st.InUse != 1 {
+		t.Fatalf("during the first lease: %+v, want 3 built, 1 in use", st)
+	}
+	s.Close()
 }

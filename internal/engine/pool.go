@@ -24,6 +24,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -70,9 +71,10 @@ func WithPoolSize(n int) PoolOption {
 }
 
 // WithWarm makes the pool warm each image's full machine complement
-// on its first query (the paper's warm-run protocol), so even the
-// first client-visible query runs on warm simulated caches. Without
-// it, Warm stays available as an explicit call.
+// on its first query or lease (see Warm), so no machine is built under
+// load and, for a whole-program image, even the first client-visible
+// query runs on warm simulated caches (the paper's warm-run protocol).
+// Without it, Warm stays available as an explicit call.
 func WithWarm(on bool) PoolOption {
 	return func(p *Pool) { p.autoWarm = on }
 }
@@ -101,15 +103,6 @@ func New(options ...PoolOption) *Pool {
 		p.size = runtime.GOMAXPROCS(0)
 	}
 	return p
-}
-
-// NewPool creates a pool that serves each image with up to
-// machinesPerImage concurrent machines, all built with cfg.
-// machinesPerImage <= 0 selects GOMAXPROCS(0).
-//
-// Deprecated: use New(WithConfig(cfg), WithPoolSize(machinesPerImage)).
-func NewPool(cfg machine.Config, machinesPerImage int) *Pool {
-	return New(WithConfig(cfg), WithPoolSize(machinesPerImage))
 }
 
 // Size is the per-image machine cap.
@@ -142,11 +135,7 @@ func (p *Pool) Stats() PoolStats {
 // warmOnce runs Warm for im the first time the pool serves it.
 func (p *Pool) warmOnce(ctx context.Context, im *asm.Image) error {
 	p.mu.Lock()
-	ip := p.images[im]
-	if ip == nil {
-		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
-		p.images[im] = ip
-	}
+	ip := p.poolFor(im)
 	if ip.warmed {
 		p.mu.Unlock()
 		return nil
@@ -203,6 +192,15 @@ type opts struct {
 	budget uint64
 }
 
+// applyOptions folds per-query options into their settings.
+func applyOptions(options []Option) opts {
+	var o opts
+	for _, opt := range options {
+		opt(&o)
+	}
+	return o
+}
+
 // WithWriter directs the query's write/1 and nl/0 output to w. By
 // default pooled queries discard output.
 func WithWriter(w io.Writer) Option {
@@ -246,7 +244,9 @@ func (p *Pool) Query(ctx context.Context, im *asm.Image, options ...Option) (*co
 // Warm builds the image's full complement of machines and brings each
 // to the post-warm-run state, so later queries start from warm
 // simulated caches (the paper's warm-run timing protocol). It is
-// optional: Query builds machines on demand.
+// optional: Query builds machines on demand. A base image has no query
+// of its own to run (its goals arrive as blocks, one per Lease), so
+// warming it only builds the machines.
 //
 // Only the first machine actually executes the warm query; the rest
 // are stamped from its snapshot (machine.Capture/Restore), which
@@ -256,10 +256,7 @@ func (p *Pool) Query(ctx context.Context, im *asm.Image, options ...Option) (*co
 // warm-run events and their aggregates count every machine's cycles,
 // which a stamp would silently skip.
 func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
-	entry, ok := im.Entry(compiler.QueryPI)
-	if !ok {
-		return fmt.Errorf("engine: image has no query entry point")
-	}
+	entry, run := im.Entry(compiler.QueryPI)
 	stamp := p.cfg.Hook == nil && p.cfg.HookFactory == nil
 	var proto *snapshot.State
 	// Hold all machines at once so every pool member gets one warm
@@ -275,12 +272,15 @@ func (p *Pool) Warm(ctx context.Context, im *asm.Image) error {
 		}
 	}()
 	for i := 0; i < p.size; i++ {
-		m, mip, err := p.acquire(ctx, im)
+		m, mip, err := p.acquire(ctx, im, nil)
 		if err != nil {
 			return err
 		}
 		ip = mip
 		machines = append(machines, m)
+		if !run {
+			continue
+		}
 		m.Reset()
 		m.SetOut(nil)
 		if proto != nil {
@@ -332,15 +332,41 @@ func (p *Pool) release(ip *imagePool, m *machine.Machine) {
 	ip.free <- fresh
 }
 
-// acquire returns a machine for im: a free pooled one if available, a
-// newly built one while under the cap, else it blocks until a machine
-// is released or ctx is cancelled.
-func (p *Pool) acquire(ctx context.Context, im *asm.Image) (*machine.Machine, *imagePool, error) {
-	p.mu.Lock()
+// poolFor returns im's machine set, creating it on first use. The
+// caller holds p.mu.
+func (p *Pool) poolFor(im *asm.Image) *imagePool {
 	ip := p.images[im]
 	if ip == nil {
 		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
 		p.images[im] = ip
+	}
+	return ip
+}
+
+// acquire returns a machine for im: a free pooled one if available, a
+// newly built one while under the cap, else it blocks until a machine
+// is released or ctx is cancelled. For a lease over db (non-nil) it
+// prefers a free machine that last served db: its delta is already
+// installed and its simulated caches are warm for that database.
+func (p *Pool) acquire(ctx context.Context, im *asm.Image, db *dyndb.DB) (*machine.Machine, *imagePool, error) {
+	p.mu.Lock()
+	ip := p.poolFor(im)
+	// Rotate the free list once looking for an affine machine. Only
+	// acquirers take from it and they hold p.mu here, except a blocked
+	// waiter below; the list never exceeds its capacity, so putting a
+	// machine back cannot block.
+rotate:
+	for n := len(ip.free); db != nil && n > 0; n-- {
+		select {
+		case m := <-ip.free:
+			if st := p.dyn[m]; st != nil && st.db == db {
+				p.mu.Unlock()
+				return m, ip, nil
+			}
+			ip.free <- m
+		default:
+			break rotate
+		}
 	}
 	select {
 	case m := <-ip.free:

@@ -9,6 +9,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/snapshot"
 )
 
 // Session is a first-class pooled query: a machine leased from the
@@ -74,34 +75,48 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // pool's acquire path provides admission control — Begin blocks when
 // every machine is leased, until one is released or ctx ends.
 func (p *Pool) Begin(ctx context.Context, im *asm.Image, options ...Option) (*Session, error) {
-	var o opts
-	for _, opt := range options {
-		opt(&o)
-	}
+	o := applyOptions(options)
 	entry, ok := im.Entry(compiler.QueryPI)
 	if !ok {
 		return nil, fmt.Errorf("engine: image has no query entry point")
-	}
-	budget := o.budget
-	if budget == 0 {
-		budget = p.cfg.MaxSteps
-	}
-	if budget == 0 {
-		budget = 1_000_000_000
 	}
 	if p.autoWarm {
 		if err := p.warmOnce(ctx, im); err != nil {
 			return nil, err
 		}
 	}
-	m, ip, err := p.acquire(ctx, im)
+	m, ip, err := p.acquire(ctx, im, nil)
 	if err != nil {
 		return nil, err
 	}
 	m.Reset() // also clears any fault a previous query left behind
 	m.SetOut(o.out)
 	m.Begin(entry)
-	return &Session{p: p, ip: ip, m: m, im: im, budget: budget}, nil
+	return p.newSession(ip, m, im, o, nil), nil
+}
+
+// newSession wraps a leased machine, booted or restored from the
+// parked session st, as a Session. Its step budget is the option's,
+// else the parked session's, else the pool configuration's MaxSteps,
+// else 1G instructions.
+func (p *Pool) newSession(ip *imagePool, m *machine.Machine, im *asm.Image, o opts, st *snapshot.State) *Session {
+	s := &Session{p: p, ip: ip, m: m, im: im, budget: o.budget}
+	if st != nil {
+		s.delivered = int(st.SessDelivered)
+		if st.SessState == blobSessRedo {
+			s.state = sessRedo
+		}
+		if s.budget == 0 {
+			s.budget = st.SessBudget
+		}
+	}
+	if s.budget == 0 {
+		s.budget = p.cfg.MaxSteps
+	}
+	if s.budget == 0 {
+		s.budget = 1_000_000_000
+	}
+	return s
 }
 
 // SetBudget replaces the per-slice step budget for subsequent Next

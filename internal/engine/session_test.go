@@ -175,17 +175,3 @@ func TestPoolOptions(t *testing.T) {
 		t.Fatalf("WithProfiling(true) collected nothing")
 	}
 }
-
-// TestNewPoolShim: the deprecated constructor behaves exactly like
-// New(WithConfig, WithPoolSize) for one release.
-func TestNewPoolShim(t *testing.T) {
-	im := compileImage(t, memberSrc, "member(X, [a]).")
-	pool := engine.NewPool(machine.Config{}, 3)
-	if pool.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", pool.Size())
-	}
-	sol, err := pool.Query(context.Background(), im)
-	if err != nil || sol.String() != "X = a" {
-		t.Fatalf("shim query: %v %v", err, sol)
-	}
-}

@@ -6,11 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/asm"
-	"repro/internal/compiler"
-	"repro/internal/dyndb"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
-	"repro/internal/term"
 )
 
 // Session park and resume: a suspended enumeration serialized to a
@@ -21,10 +18,10 @@ import (
 //
 // The blob embeds, besides the machine state, a small session block
 // (enumeration phase, solutions delivered, step budget) and — for
-// tenant sessions — the dynamic database version the installed delta
-// was materialized from. Resume re-creates the code environment the
-// same way Begin/BeginDyn would (same image, same delta install, same
-// goal block at the same frontier) and then proves it got the same
+// database leases — the database version the installed delta was
+// materialized from. Resume and Lease re-create the code environment
+// the same way a fresh session would (same image, same delta install,
+// same goal block at the same frontier) and then prove it got the same
 // bytes via the blob's image hash before any state is restored.
 
 // Suspend/resume sentinel errors.
@@ -55,7 +52,7 @@ const (
 // a snapshot blob and closes the session, releasing its machine back
 // to the pool. The enumeration must still be live: mid-stream after a
 // solution, budget-suspended, or not yet started. The blob can be
-// resumed in this process or another with Resume/ResumeDyn.
+// resumed in this process or another with Resume or Lease.
 func (s *Session) Suspend() ([]byte, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -75,9 +72,9 @@ func (s *Session) Suspend() ([]byte, error) {
 	}
 	st.SessDelivered = uint64(s.delivered)
 	st.SessBudget = s.budget
-	// Tenant sessions record which delta version the machine's code
+	// Database leases record which delta version the machine's code
 	// was materialized from, offset by one so zero stays unambiguously
-	// "static image, no delta".
+	// "whole-program image, no delta".
 	s.p.mu.Lock()
 	ds := s.p.dyn[s.m]
 	s.p.mu.Unlock()
@@ -90,48 +87,34 @@ func (s *Session) Suspend() ([]byte, error) {
 	return blob, nil
 }
 
-// sessionFromBlob builds the resumed Session once the machine has been
-// restored.
-func sessionFromBlob(p *Pool, ip *imagePool, m *machine.Machine, im *asm.Image, st *snapshot.State, o *opts) *Session {
-	budget := st.SessBudget
-	if o.budget > 0 {
-		budget = o.budget
+// decodeSession decodes a parked session blob.
+func decodeSession(blob []byte) (*snapshot.State, error) {
+	st, err := snapshot.Decode(blob)
+	if err != nil {
+		return nil, err
 	}
-	if budget == 0 {
-		budget = 1_000_000_000
+	if st.SessState == 0 {
+		return nil, ErrNoSession
 	}
-	state := sessRun
-	if st.SessState == blobSessRedo {
-		state = sessRedo
-	}
-	return &Session{
-		p: p, ip: ip, m: m, im: im, budget: budget,
-		delivered: int(st.SessDelivered),
-		state:     state,
-	}
+	return st, nil
 }
 
-// Resume restores a suspended static-image session from a blob onto a
+// Resume restores a suspended whole-program session from a blob onto a
 // pooled machine of im. The image must be the same compile the session
 // was suspended from (the blob's content hash proves it); blobs parked
-// from tenant sessions are rejected — use ResumeDyn. Options may
-// override the parked step budget and output writer.
+// from database leases are rejected — resume them with Lease. Options
+// may override the parked step budget and output writer.
 func (p *Pool) Resume(ctx context.Context, im *asm.Image, blob []byte, options ...Option) (*Session, error) {
-	var o opts
-	for _, opt := range options {
-		opt(&o)
-	}
-	st, err := snapshot.Decode(blob)
+	o := applyOptions(options)
+	st, err := decodeSession(blob)
 	if err != nil {
 		return nil, err
-	}
-	if st.SessState == 0 {
-		return nil, ErrNoSession
 	}
 	if st.DeltaVersion != 0 {
-		return nil, fmt.Errorf("engine: snapshot carries a tenant delta; resume it with ResumeDyn")
+		return nil, fmt.Errorf("engine: %w: snapshot was taken on a goal block over a database; resume it with Lease",
+			machine.ErrImageMismatch)
 	}
-	m, ip, err := p.acquire(ctx, im)
+	m, ip, err := p.acquire(ctx, im, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,74 +124,5 @@ func (p *Pool) Resume(ctx context.Context, im *asm.Image, blob []byte, options .
 		p.release(ip, m)
 		return nil, err
 	}
-	return sessionFromBlob(p, ip, m, im, st, &o), nil
-}
-
-// ResumeDyn restores a suspended tenant session: the goal is
-// recompiled and the tenant's delta re-installed exactly as BeginDyn
-// would, the blob's image hash proves the reconstruction reproduced
-// the code the session ran against, and the machine state is restored
-// on top. The database must still be at the version the blob was
-// parked from — any assert, retract, reload or rollback since makes
-// the parked delta stale and the resume fails with ErrStaleDelta.
-func (p *Pool) ResumeDyn(ctx context.Context, db *dyndb.DB, goal term.Term, blob []byte, options ...Option) (*Session, error) {
-	var o opts
-	for _, opt := range options {
-		opt(&o)
-	}
-	st, err := snapshot.Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	if st.SessState == 0 {
-		return nil, ErrNoSession
-	}
-	if st.DeltaVersion == 0 {
-		return nil, fmt.Errorf("engine: snapshot carries no tenant delta; resume it with Resume")
-	}
-	if got := db.Version(); st.DeltaVersion-1 != got {
-		return nil, fmt.Errorf("%w: snapshot at version %d, database now %d",
-			ErrStaleDelta, st.DeltaVersion-1, got)
-	}
-	c := compiler.New(db.Syms())
-	mod, err := c.CompileGoal(goal)
-	if err != nil {
-		return nil, err
-	}
-	m, ip, err := p.acquireDyn(ctx, db)
-	if err != nil {
-		return nil, err
-	}
-	ds := p.dynFor(m)
-	m.Reset()
-	if err := p.install(m, ds, db); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	if ds.view.Top != st.DeltaTop {
-		// Same version but a different frontier can only mean the
-		// database object is not the one the blob was parked from.
-		p.release(ip, m)
-		return nil, fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
-			ErrStaleDelta, st.DeltaTop, ds.view.Top)
-	}
-	qim, err := asm.LinkAt(mod, m.CodeTop(), ds.view.Entries)
-	if err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	if _, err := m.LoadDyn(qim.Code); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	m.SetOut(o.out)
-	if err := m.Restore(st); err != nil {
-		// The machine is consistent (delta installed, goal loaded) —
-		// only the restore was refused; scrub the transient goal block
-		// and return it to the pool.
-		m.TruncateCode(ds.view.Top)
-		p.release(ip, m)
-		return nil, err
-	}
-	return sessionFromBlob(p, ip, m, qim, st, &o), nil
+	return p.newSession(ip, m, im, o, st), nil
 }

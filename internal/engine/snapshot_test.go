@@ -258,10 +258,10 @@ func TestSuspendResumeErrors(t *testing.T) {
 	if _, err := pool.Resume(context.Background(), other, blob); !errors.Is(err, machine.ErrImageMismatch) {
 		t.Fatalf("cross-image resume: %v, want ErrImageMismatch", err)
 	}
-	// A static blob cannot be resumed through the tenant path.
-	if _, err := pool.ResumeDyn(context.Background(), nil, nil, blob); err == nil ||
+	// A whole-program blob cannot be resumed as a database lease.
+	if _, err := pool.Lease(context.Background(), nil, nil, blob); err == nil ||
 		errors.Is(err, engine.ErrNoSession) {
-		t.Fatalf("static blob via ResumeDyn: %v, want delta-direction error", err)
+		t.Fatalf("static blob via Lease: %v, want delta-direction error", err)
 	}
 
 	// A bare machine capture (no session block) is not resumable.

@@ -2,27 +2,31 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/dyndb"
 	"repro/internal/machine"
+	"repro/internal/snapshot"
 	"repro/internal/term"
 )
 
-// Tenant-keyed leases: copy-on-write image sharing over the pool.
+// Database leases: goal blocks over copy-on-write image sharing.
 //
-// Every tenant's dynamic database (internal/dyndb) layers a private
-// delta — rebuilt predicate blocks plus retargeted call sites — above
-// one immutable base image. The pool keys its machines by that shared
-// base image, so N tenants cost one image and one machine complement,
-// not N of each: BeginDyn leases any pooled machine and makes it the
-// requesting tenant's by rolling back whatever delta the previous
-// occupant left (restoring the boot frontier and patched words) and
-// replaying the tenant's own delta above the base.
+// Every dynamic database (internal/dyndb) layers a private delta —
+// rebuilt predicate blocks plus retargeted call sites — above one
+// immutable base image, and a goal arrives as a small block linked
+// above that delta. The pool keys its machines by the shared base
+// image, so N databases and any number of goal texts cost one image
+// and one machine complement, not N of each: Lease takes any pooled
+// machine and makes it the requesting database's by rolling back
+// whatever delta the previous occupant left (restoring the boot
+// frontier and patched words) and replaying the database's own delta
+// above the base. A program's seed database — its initial clauses, no
+// writes of its own — is leased the same way, so a plain query of the
+// program is a tenant query with an empty delta.
 //
 // All delta writes are diff-aware (machine.LoadDyn/PatchDyn skip
 // words already holding their value), so the lease protocol is cheap
@@ -44,9 +48,9 @@ type dynState struct {
 
 // dynFor returns (creating on first lease) the machine's dynState.
 // The machine must be leased by the caller, and must sit at its boot
-// frontier on first call — both guaranteed by acquireDyn, which
-// creates states for machines it builds and for fault replacements
-// (built by release at the boot frontier).
+// frontier on first call — both guaranteed by Lease: acquire builds
+// machines, and release builds fault replacements, at the boot
+// frontier.
 func (p *Pool) dynFor(m *machine.Machine) *dynState {
 	p.mu.Lock()
 	st := p.dyn[m]
@@ -90,152 +94,132 @@ func (p *Pool) scrub(m *machine.Machine, st *dynState) {
 	st.view = dyndb.View{}
 }
 
-// BeginDyn leases a pooled machine for one tenant's query: the goal is
-// compiled and linked against the tenant's current entry table, the
-// tenant's delta is installed over the shared base image, and the goal
-// block is loaded transiently above it. The returned session behaves
-// exactly like Begin's — enumerate, suspend on budget, resume, Close
-// to release — and Close leaves the delta in place, so the next lease
-// of the same tenant on that machine reuses it for free.
-func (p *Pool) BeginDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*Session, error) {
-	var o opts
-	for _, opt := range options {
-		opt(&o)
-	}
-	budget := o.budget
-	if budget == 0 {
-		budget = p.cfg.MaxSteps
-	}
-	if budget == 0 {
-		budget = 1_000_000_000
-	}
-	c := compiler.New(db.Syms())
-	mod, err := c.CompileGoal(goal)
+// Goal is a goal compiled once for leases over a database's base
+// image. Its code is linked per database view, above that view's
+// delta; the Goal keeps the block it last linked, so a lease on an
+// unchanged view neither compiles nor links. A Goal is safe for
+// concurrent leases.
+type Goal struct {
+	mod *compiler.Module
+
+	mu   sync.Mutex
+	last linked
+}
+
+// linked is a goal block and the database view it was linked for. A
+// database's version and layout epoch fix its entry table and code
+// frontier, so they identify the view.
+type linked struct {
+	db             *dyndb.DB
+	version, epoch uint64
+	im             *asm.Image
+}
+
+// CompileGoal compiles goal for leases over db and its clones, which
+// share db's symbol table.
+func CompileGoal(db *dyndb.DB, goal term.Term) (*Goal, error) {
+	mod, err := compiler.New(db.Syms()).CompileGoal(goal)
 	if err != nil {
 		return nil, err
 	}
-	m, ip, err := p.acquireDyn(ctx, db)
+	return &Goal{mod: mod}, nil
+}
+
+// block returns the goal linked against view, a view of db, for
+// loading at the view's frontier. The view's own entry table is used
+// rather than the live database's, which may be mutating concurrently.
+func (g *Goal) block(db *dyndb.DB, view dyndb.View) (*asm.Image, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if l := g.last; l.db == db && l.version == view.Version && l.epoch == view.Epoch {
+		return l.im, nil
+	}
+	im, err := asm.LinkAt(g.mod, view.Top, view.Entries)
 	if err != nil {
 		return nil, err
 	}
-	st := p.dynFor(m)
+	g.last = linked{db: db, version: view.Version, epoch: view.Epoch, im: im}
+	return im, nil
+}
+
+// Lease leases a pooled machine of db's base image for goal g: db's
+// delta is installed over the shared image and g's block is loaded
+// transiently above it. With blob nil the goal boots fresh. Otherwise
+// blob is a session parked by Session.Suspend, restored on top: db
+// must still be at the version the blob was parked from (else
+// ErrStaleDelta), and the blob's image hash proves the reconstruction
+// reproduced the code the session ran against. The session's Close
+// leaves the delta in place, so the next lease of the same database on
+// that machine reuses it for free.
+func (p *Pool) Lease(ctx context.Context, db *dyndb.DB, g *Goal, blob []byte, options ...Option) (*Session, error) {
+	o := applyOptions(options)
+	var st *snapshot.State
+	if blob != nil {
+		var err error
+		if st, err = decodeSession(blob); err != nil {
+			return nil, err
+		}
+		if st.DeltaVersion == 0 {
+			return nil, fmt.Errorf("engine: %w: snapshot was taken on a whole-program image; resume it with Resume",
+				machine.ErrImageMismatch)
+		}
+		if got := db.Version(); st.DeltaVersion-1 != got {
+			return nil, fmt.Errorf("%w: snapshot at version %d, database now %d",
+				ErrStaleDelta, st.DeltaVersion-1, got)
+		}
+	}
+	if p.autoWarm {
+		if err := p.warmOnce(ctx, db.Image()); err != nil {
+			return nil, err
+		}
+	}
+	m, ip, err := p.acquire(ctx, db.Image(), db)
+	if err != nil {
+		return nil, err
+	}
+	ds := p.dynFor(m)
 	m.Reset()
-	if err := p.install(m, st, db); err != nil {
+	if err := p.install(m, ds, db); err != nil {
 		p.release(ip, m)
 		return nil, err
 	}
-	// Link the goal against the view's consistent entry table (not the
-	// live database, which may be mutating concurrently) and load it as
-	// the transient block above the delta.
-	qim, err := asm.LinkAt(mod, m.CodeTop(), st.view.Entries)
-	if err != nil {
-		p.release(ip, m) // machine is consistent at the delta frontier
+	// On any refusal below the machine drops the goal block (if loaded)
+	// and goes back to the pool consistent at the delta frontier.
+	refuse := func(err error) (*Session, error) {
+		m.TruncateCode(ds.view.Top)
+		p.release(ip, m)
 		return nil, err
+	}
+	if st != nil && ds.view.Top != st.DeltaTop {
+		// Same version but a different frontier can only mean the
+		// database object is not the one the blob was parked from.
+		return refuse(fmt.Errorf("%w: snapshot delta frontier %d, database view %d",
+			ErrStaleDelta, st.DeltaTop, ds.view.Top))
+	}
+	qim, err := g.block(db, ds.view)
+	if err != nil {
+		return refuse(err)
 	}
 	if _, err := m.LoadDyn(qim.Code); err != nil {
-		p.release(ip, m)
-		return nil, err
-	}
-	entry, ok := qim.Entries[compiler.QueryPI]
-	if !ok {
-		p.release(ip, m)
-		return nil, fmt.Errorf("engine: goal block has no query entry point")
+		return refuse(err)
 	}
 	m.SetOut(o.out)
-	m.Begin(entry)
-	return &Session{p: p, ip: ip, m: m, im: qim, budget: budget}, nil
+	if st != nil {
+		if err := m.Restore(st); err != nil {
+			return refuse(err)
+		}
+	} else {
+		m.Begin(qim.Entries[compiler.QueryPI])
+	}
+	return p.newSession(ip, m, qim, o, st), nil
 }
 
-// QueryDyn runs a tenant goal to its first solution, the BeginDyn
-// analogue of Query.
-func (p *Pool) QueryDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*core.Solution, error) {
-	s, err := p.BeginDyn(ctx, db, goal, options...)
+// BeginDyn compiles goal and leases it over db from a fresh boot: the
+// Lease of a goal used once.
+func (p *Pool) BeginDyn(ctx context.Context, db *dyndb.DB, goal term.Term, options ...Option) (*Session, error) {
+	g, err := CompileGoal(db, goal)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	if s.Next(ctx) {
-		return s.Solution(), nil
-	}
-	if s.Err() != nil {
-		return nil, s.Err()
-	}
-	if s.Suspended() {
-		return nil, fmt.Errorf("engine: %w: query exceeded %d steps",
-			machine.ErrStepBudget, s.budget)
-	}
-	return s.Solution(), nil
-}
-
-// acquireDyn is acquire with tenant affinity: among the free machines
-// of the database's base image it prefers one that last served this
-// same database (its delta is already installed and its simulated
-// caches are warm for this tenant's code). With no affine machine
-// free it behaves like acquire — any free machine, else build under
-// the cap, else block.
-func (p *Pool) acquireDyn(ctx context.Context, db *dyndb.DB) (*machine.Machine, *imagePool, error) {
-	im := db.Image()
-	p.mu.Lock()
-	ip := p.images[im]
-	if ip == nil {
-		ip = &imagePool{im: im, free: make(chan *machine.Machine, p.size)}
-		p.images[im] = ip
-	}
-	// Drain the free list, pick the best candidate, park the rest
-	// back. The list is at most p.size long and this runs under p.mu,
-	// so no other acquirer interleaves.
-	var parked []*machine.Machine
-	var pick *machine.Machine
-drain:
-	for {
-		select {
-		case m := <-ip.free:
-			if pick == nil && p.dyn[m] != nil && p.dyn[m].db == db {
-				pick = m
-			} else {
-				parked = append(parked, m)
-			}
-		default:
-			break drain
-		}
-	}
-	if pick == nil && len(parked) > 0 {
-		pick, parked = parked[0], parked[1:]
-	}
-	for _, m := range parked {
-		ip.free <- m
-	}
-	if pick != nil {
-		p.mu.Unlock()
-		return pick, ip, nil
-	}
-	if ip.built < p.size {
-		ip.built++
-		p.mu.Unlock()
-		m, err := machine.New(im, p.cfg)
-		if err != nil {
-			p.mu.Lock()
-			ip.built--
-			p.mu.Unlock()
-			return nil, nil, err
-		}
-		return m, ip, nil
-	}
-	p.mu.Unlock()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case m := <-ip.free:
-		return m, ip, nil
-	case <-done:
-		cause := ctx.Err()
-		sentinel := machine.ErrCancelled
-		if errors.Is(cause, context.DeadlineExceeded) {
-			sentinel = machine.ErrDeadline
-		}
-		return nil, nil, fmt.Errorf("engine: %w: waiting for a pooled machine: %w",
-			sentinel, cause)
-	}
+	return p.Lease(ctx, db, g, nil, options...)
 }

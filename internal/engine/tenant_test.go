@@ -54,6 +54,16 @@ func parse(t testing.TB, src string) term.Term {
 	return tm
 }
 
+// resume resumes a session of goal over db parked in blob.
+func resume(t testing.TB, p *engine.Pool, db *dyndb.DB, goal term.Term, blob []byte) (*engine.Session, error) {
+	t.Helper()
+	g, err := engine.CompileGoal(db, goal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Lease(context.Background(), db, g, blob)
+}
+
 // collect enumerates every solution of goal for the tenant and
 // renders X bindings.
 func collect(t testing.TB, p *engine.Pool, db *dyndb.DB, goal string) []string {
@@ -179,9 +189,9 @@ func TestTenantSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pool.ResumeDyn(context.Background(), db, goal, blob)
+	r, err := resume(t, pool, db, goal, blob)
 	if err != nil {
-		t.Fatalf("ResumeDyn: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	var rest []string
 	for r.Next(context.Background()) {
@@ -208,7 +218,7 @@ func TestTenantSuspendResume(t *testing.T) {
 	if _, err := db.Assertz(parse(t, "color(cyan)")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ResumeDyn(context.Background(), db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
+	if _, err := resume(t, pool, db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
 		t.Fatalf("resume after assert: %v, want ErrStaleDelta", err)
 	}
 	// Roll the predicate back to the exact clause set the blob was
@@ -217,10 +227,10 @@ func TestTenantSuspendResume(t *testing.T) {
 	if _, err := db.Reload(colorPI, parked); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.ResumeDyn(context.Background(), db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
+	if _, err := resume(t, pool, db, goal, stale); !errors.Is(err, engine.ErrStaleDelta) {
 		t.Fatalf("resume after rollback-by-reload: %v, want ErrStaleDelta", err)
 	}
-	// A static resume of a tenant blob is directed to ResumeDyn.
+	// A whole-program resume of a tenant blob is directed to Lease.
 	if _, err := pool.Resume(context.Background(), db.Image(), stale); err == nil ||
 		errors.Is(err, engine.ErrNoSession) {
 		t.Fatalf("tenant blob via Resume: %v, want delta-direction error", err)

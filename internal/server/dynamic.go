@@ -15,23 +15,24 @@ import (
 	"repro/internal/wire"
 )
 
-// Multi-tenant dynamic databases. Each program lazily compiles one
-// shared base image (static predicates compiled, dynamic predicates
-// as stubs) and one seed database holding the source's initial
-// dynamic clauses; every tenant name clones the seed into a private
-// copy-on-write delta. Thousands of tenants therefore share one boot
-// image and one machine complement — only the clauses a tenant
-// asserts are its own.
+// Databases and goals. Each program lazily compiles one shared base
+// image (static predicates compiled, dynamic predicates as stubs) and
+// one seed database holding the source's initial dynamic clauses;
+// every tenant name clones the seed into a private copy-on-write
+// delta, and a request naming no tenant runs against the seed itself.
+// A goal is compiled once per program and text into a block linked
+// above whichever delta a lease installs. Every goal and thousands of
+// tenants therefore share one boot image and one machine complement —
+// only the clauses a tenant asserts are its own.
 
-// dynProg is one program's dynamic serving state.
+// dynProg is one program's serving state.
 type dynProg struct {
 	seed    *dyndb.DB
 	tenants map[string]*dyndb.DB
+	goals   map[string]*engine.Goal // at most goalCacheCap
 }
 
-// dynFor returns (building on first use) the program's dynamic state.
-// Building compiles the base image, which mutates the program's
-// symbol table — serialized with the static image compiles via imgMu.
+// dynFor returns (building on first use) the program's serving state.
 func (s *Server) dynFor(program string) (*dynProg, error) {
 	program, prog, err := s.resolveProgram(program)
 	if err != nil {
@@ -42,9 +43,7 @@ func (s *Server) dynFor(program string) (*dynProg, error) {
 	if dp, ok := s.dynProgs[program]; ok {
 		return dp, nil
 	}
-	s.imgMu.Lock()
 	im, ds, err := prog.BaseImage()
-	s.imgMu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("program %q: %w", program, err)
 	}
@@ -59,17 +58,21 @@ func (s *Server) dynFor(program string) (*dynProg, error) {
 			}
 		}
 	}
-	dp := &dynProg{seed: seed, tenants: map[string]*dyndb.DB{}}
+	dp := &dynProg{seed: seed, tenants: map[string]*dyndb.DB{}, goals: map[string]*engine.Goal{}}
 	s.dynProgs[program] = dp
 	return dp, nil
 }
 
-// tenantDB returns the tenant's database, cloning the program seed on
-// first sight of the tenant name.
-func (s *Server) tenantDB(program, tenant string) (*dyndb.DB, error) {
+// tenantDB returns the program's serving state and the tenant's
+// database, cloning the program seed on first sight of the tenant
+// name. The empty tenant names the seed, which no write reaches.
+func (s *Server) tenantDB(program, tenant string) (*dynProg, *dyndb.DB, error) {
 	dp, err := s.dynFor(program)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if tenant == "" {
+		return dp, dp.seed, nil
 	}
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
@@ -78,15 +81,58 @@ func (s *Server) tenantDB(program, tenant string) (*dyndb.DB, error) {
 		db = dp.seed.Clone()
 		dp.tenants[tenant] = db
 	}
-	return db, nil
+	return dp, db, nil
 }
 
-// tenantStats counts the live tenant databases across programs and
-// sums their code tails, for stats.
-func (s *Server) tenantStats() (n int, code wire.TenantCode) {
+// goal returns the program's compiled goal for text, compiling it on a
+// miss. A miss on a full cache evicts an arbitrary goal first.
+func (s *Server) goal(dp *dynProg, text string) (*engine.Goal, error) {
+	s.dynMu.Lock()
+	g, ok := dp.goals[text]
+	s.dynMu.Unlock()
+	if ok {
+		return g, nil
+	}
+	t, err := parseGoal(text)
+	if err != nil {
+		return nil, err
+	}
+	if g, err = engine.CompileGoal(dp.seed, t); err != nil {
+		return nil, err
+	}
+	s.dynMu.Lock()
+	defer s.dynMu.Unlock()
+	if len(dp.goals) >= goalCacheCap {
+		for k := range dp.goals {
+			delete(dp.goals, k)
+			break
+		}
+	}
+	dp.goals[text] = g
+	return g, nil
+}
+
+// lease leases a session for a goal text over the program's database
+// for tenant, resuming the parked session in blob if it is not nil.
+func (s *Server) lease(ctx context.Context, program, tenant, text string, blob []byte, budget uint64) (*engine.Session, error) {
+	dp, db, err := s.tenantDB(program, tenant)
+	if err != nil {
+		return nil, err
+	}
+	g, err := s.goal(dp, text)
+	if err != nil {
+		return nil, err
+	}
+	return s.pool.Lease(ctx, db, g, blob, engine.WithBudget(s.clampBudget(budget)))
+}
+
+// dynStats counts the live tenant databases and the cached goals
+// across programs and sums the tenants' code tails, for stats.
+func (s *Server) dynStats() (n int, code wire.TenantCode, goals int) {
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
 	for _, dp := range s.dynProgs {
+		goals += len(dp.goals)
 		for _, db := range dp.tenants {
 			cs := db.CodeStats()
 			code.LiveWords += cs.LiveWords
@@ -95,30 +141,7 @@ func (s *Server) tenantStats() (n int, code wire.TenantCode) {
 			n++
 		}
 	}
-	return n, code
-}
-
-// begin leases a session for one query request: the compile-once
-// image pool for static requests, the tenant's dynamic database for
-// requests naming a tenant.
-func (s *Server) begin(ctx context.Context, req wire.QueryRequest) (*engine.Session, error) {
-	budget := engine.WithBudget(s.clampBudget(req.Budget))
-	if req.Tenant == "" {
-		im, err := s.image(req.Program, req.Goal)
-		if err != nil {
-			return nil, err
-		}
-		return s.pool.Begin(ctx, im, budget)
-	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	goal, err := parseGoal(req.Goal)
-	if err != nil {
-		return nil, err
-	}
-	return s.pool.BeginDyn(ctx, db, goal, budget)
+	return n, code, goals
 }
 
 // parseGoal reads one goal term, tolerating a missing terminator.
@@ -180,7 +203,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
 	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
+	_, db, err := s.tenantDB(req.Program, req.Tenant)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
@@ -218,7 +241,7 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return
 	}
-	db, err := s.tenantDB(req.Program, req.Tenant)
+	_, db, err := s.tenantDB(req.Program, req.Tenant)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply(err))
 		return

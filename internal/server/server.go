@@ -1,11 +1,11 @@
 // Package server is the kcmd network front-end: an HTTP/JSON daemon
 // over the warm-machine pool. The KCM of the paper is a co-processor
 // that serves logic queries to a host; this package is the modern
-// analogue — compile-once images served to many network clients, with
-// per-request deadlines and step budgets mapped onto the machine's
-// resumable RunFor sessions, backpressure from budget-suspended
-// sessions parked in a server-side table, and a graceful drain that
-// finishes in-flight queries on SIGTERM.
+// analogue — one compiled image per program, to which many network
+// clients send goals, with per-request deadlines and step budgets
+// mapped onto the machine's resumable RunFor sessions, backpressure
+// from budget-suspended sessions parked in a server-side table, and a
+// graceful drain that finishes in-flight queries on SIGTERM.
 //
 // The handler discipline matters: a pooled machine must never be held
 // across a network write (a slow client would hold a machine hostage;
@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/machine"
@@ -70,11 +69,8 @@ type Server struct {
 	pool  *engine.Pool
 	progs map[string]*core.Program
 
-	imgMu  sync.Mutex
-	images map[imageKey]*asm.Image
-
 	dynMu    sync.Mutex
-	dynProgs map[string]*dynProg // per-program tenant databases
+	dynProgs map[string]*dynProg // per-program databases and goal caches
 
 	sessions *table
 	draining atomic.Bool
@@ -93,18 +89,17 @@ const (
 	// maxBodyBytes caps every /v1/* request body; a longer body is
 	// refused with 413 Request Entity Too Large.
 	maxBodyBytes = 1 << 20
+	// maxGoalBytes caps a /v1/query goal text; a longer goal is
+	// refused with 413 before the reader sees it.
+	maxGoalBytes = 64 << 10
+	// goalCacheCap caps the compiled goals cached per program. With
+	// maxGoalBytes it bounds the memory the goal caches hold.
+	goalCacheCap = 256
 	// readHeaderTimeout bounds how long a connection may take to send
 	// its request headers, so slow-header clients cannot pin
 	// connections open.
 	readHeaderTimeout = 5 * time.Second
 )
-
-// imageKey identifies one compile-once image: a goal text against a
-// named program.
-type imageKey struct {
-	program string
-	goal    string
-}
 
 // New builds a server from cfg, parsing every program source.
 func New(cfg Config) (*Server, error) {
@@ -139,7 +134,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		pool:     pool,
 		progs:    progs,
-		images:   make(map[imageKey]*asm.Image),
 		dynProgs: make(map[string]*dynProg),
 		sessions: newTable(cfg.MaxSessions),
 		janitor:  make(chan struct{}),
@@ -264,28 +258,6 @@ func (s *Server) resolveProgram(program string) (string, *core.Program, error) {
 	return program, prog, nil
 }
 
-// image returns the compile-once image for (program, goal), compiling
-// it on first use. Compilation is serialized: the compiler mutates
-// the program's symbol table.
-func (s *Server) image(program, goal string) (*asm.Image, error) {
-	program, prog, err := s.resolveProgram(program)
-	if err != nil {
-		return nil, err
-	}
-	key := imageKey{program: program, goal: goal}
-	s.imgMu.Lock()
-	defer s.imgMu.Unlock()
-	if im, ok := s.images[key]; ok {
-		return im, nil
-	}
-	im, err := prog.CompileQuery(goal)
-	if err != nil {
-		return nil, err
-	}
-	s.images[key] = im
-	return im, nil
-}
-
 // clampBudget applies the request -> default -> max budget policy.
 func (s *Server) clampBudget(req uint64) uint64 {
 	b := req
@@ -371,6 +343,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorReply(errTableClosed))
 		return
 	}
+	if len(req.Goal) > maxGoalBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorReply(fmt.Errorf("goal text exceeds %d bytes", maxGoalBytes)))
+		return
+	}
 	if req.Stream {
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
@@ -387,7 +364,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runQuery(ctx context.Context, req wire.QueryRequest) (wire.Reply, int) {
 	runCtx, cancel := s.runCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	sess, err := s.begin(runCtx, req)
+	sess, err := s.lease(runCtx, req.Program, req.Tenant, req.Goal, nil, req.Budget)
 	if err != nil {
 		if errors.Is(err, machine.ErrCancelled) || errors.Is(err, machine.ErrDeadline) {
 			// Admission control: every machine is leased and none
@@ -626,7 +603,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	tenants, code := s.tenantStats()
+	tenants, code, goals := s.dynStats()
 	writeJSON(w, http.StatusOK, wire.StatsReply{
 		Programs: names,
 		Pool: wire.PoolStats{
@@ -637,6 +614,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Totals:     tot,
 		Tenants:    tenants,
 		TenantCode: code,
+		Goals:      goals,
 		Draining:   s.draining.Load(),
 	})
 }
@@ -676,7 +654,7 @@ func (s *Server) streamQuery(ctx context.Context, req wire.QueryRequest, lines c
 	defer close(lines)
 	runCtx, cancel := s.runCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	sess, err := s.begin(runCtx, req)
+	sess, err := s.lease(runCtx, req.Program, req.Tenant, req.Goal, nil, req.Budget)
 	if err != nil {
 		if !errors.Is(err, machine.ErrCancelled) && !errors.Is(err, machine.ErrDeadline) {
 			s.totMu.Lock()

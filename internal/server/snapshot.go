@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/machine"
+	"repro/internal/snapshot"
 	"repro/internal/wire"
 )
 
@@ -71,25 +73,17 @@ func (s *Server) writeEnvelope(handle string, env envelope) error {
 	return os.Rename(tmp, path)
 }
 
-// readEnvelope loads a handle's envelope; ok is false when no such
-// snapshot exists.
-func (s *Server) readEnvelope(handle string) (envelope, bool, error) {
+// readEnvelope loads the envelope stored at path.
+func readEnvelope(path string) (envelope, error) {
 	var env envelope
-	path, err := s.stateFile(handle)
-	if err != nil {
-		return env, false, err
-	}
 	buf, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return env, false, nil
-	}
 	if err != nil {
-		return env, false, err
+		return env, err
 	}
 	if err := json.Unmarshal(buf, &env); err != nil {
-		return env, false, fmt.Errorf("corrupt snapshot %q: %w", handle, err)
+		return env, fmt.Errorf("%w %s: %w", errBadEnvelope, filepath.Base(path), err)
 	}
-	return env, true, nil
+	return env, nil
 }
 
 // handleSuspend serializes a parked session to the state directory.
@@ -151,87 +145,87 @@ func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 
 // handleResume rebuilds a suspended session from its on-disk handle
 // and parks it in the table, ready for /v1/next — the continuation is
-// byte-identical to a session that was never suspended. One-shot: the
-// snapshot file is consumed by a successful resume.
+// byte-identical to a session that was never suspended.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	var req wire.ResumeRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
+	rep, code := s.runResume(r.Context(), req)
+	writeJSON(w, code, rep)
+}
+
+// runResume is the writer-free body of resume. The snapshot file is
+// one-shot: a successful resume consumes it, and so does a refusal no
+// retry can mend (see refused). A file the daemon could not serve for
+// now — every machine busy, an unknown program — stays for a retry.
+func (s *Server) runResume(ctx context.Context, req wire.ResumeRequest) (wire.Reply, int) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorReply(errTableClosed))
-		return
+		return errorReply(errTableClosed), http.StatusServiceUnavailable
 	}
 	if s.cfg.StateDir == "" {
-		writeJSON(w, http.StatusNotImplemented,
-			errorReply(fmt.Errorf("daemon has no state directory (start kcmd with -state)")))
-		return
+		return errorReply(fmt.Errorf("daemon has no state directory (start kcmd with -state)")),
+			http.StatusNotImplemented
 	}
-	env, ok, err := s.readEnvelope(req.Handle)
+	path, err := s.stateFile(req.Handle)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply(err))
-		return
+		return errorReply(err), http.StatusBadRequest
 	}
-	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			errorReply(fmt.Errorf("unknown handle %q", req.Handle)))
-		return
+	env, err := readEnvelope(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return errorReply(fmt.Errorf("unknown handle %q", req.Handle)), http.StatusNotFound
 	}
-	runCtx, cancel := s.runCtx(r.Context(), req.TimeoutMS)
-	defer cancel()
-	budget := engine.WithBudget(s.clampBudget(req.Budget))
 	var sess *engine.Session
-	if env.Tenant == "" {
-		im, err := s.image(env.Program, env.Goal)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
+	if err == nil {
+		runCtx, cancel := s.runCtx(ctx, req.TimeoutMS)
+		defer cancel()
+		sess, err = s.lease(runCtx, env.Program, env.Tenant, env.Goal, env.Blob, req.Budget)
+	}
+	if err != nil {
+		if refused(err) {
+			os.Remove(path)
 		}
-		sess, err = s.pool.Resume(runCtx, im, env.Blob, budget)
-		if err != nil {
-			writeJSON(w, resumeStatus(err), errorReply(err))
-			return
-		}
-	} else {
-		db, err := s.tenantDB(env.Program, env.Tenant)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
-		}
-		goal, err := parseGoal(env.Goal)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, errorReply(err))
-			return
-		}
-		sess, err = s.pool.ResumeDyn(runCtx, db, goal, env.Blob, budget)
-		if err != nil {
-			writeJSON(w, resumeStatus(err), errorReply(err))
-			return
-		}
+		return errorReply(err), resumeStatus(err)
 	}
 	e, err := s.sessions.add(env.Program, env.Tenant, env.Goal, sess)
 	if err != nil {
 		sess.Close()
 		s.account(sess, false)
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorReply(fmt.Errorf("resumed but cannot park: %w", err)))
-		return
+		return errorReply(fmt.Errorf("resumed but cannot park: %w", err)), http.StatusServiceUnavailable
 	}
-	if path, err := s.stateFile(req.Handle); err == nil {
-		os.Remove(path)
-	}
-	writeJSON(w, http.StatusOK, wire.Reply{
+	os.Remove(path)
+	return wire.Reply{
 		Status:    wire.StatusSuspended,
 		Session:   e.id,
 		Solutions: sess.Delivered(),
-	})
+	}, http.StatusOK
 }
 
-// resumeStatus maps an engine resume failure onto an HTTP code: a
-// stale tenant delta is a conflict the client can observe (the
-// database moved on), admission-control timeouts are 503, and
-// everything else — corrupt blob, image or config mismatch — is
-// unprocessable.
+// errBadEnvelope reports a snapshot file that does not parse.
+var errBadEnvelope = errors.New("corrupt snapshot envelope")
+
+// refused reports a resume failure no retry can mend: the envelope or
+// its blob does not decode, or the blob no longer fits the code it was
+// parked from (another image or configuration, or a database changed
+// since).
+func refused(err error) bool {
+	for _, target := range []error{
+		errBadEnvelope,
+		snapshot.ErrTruncated, snapshot.ErrChecksum, snapshot.ErrVersion, snapshot.ErrMalformed,
+		machine.ErrImageMismatch, machine.ErrConfigMismatch, machine.ErrBadSnapshot,
+		engine.ErrNoSession, engine.ErrStaleDelta,
+	} {
+		if errors.Is(err, target) {
+			return true
+		}
+	}
+	return false
+}
+
+// resumeStatus maps a resume failure onto an HTTP code: a stale tenant
+// delta is a conflict the client can observe (the database moved on),
+// admission-control timeouts are 503, and everything else — corrupt
+// blob, image or config mismatch — is unprocessable.
 func resumeStatus(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrStaleDelta):

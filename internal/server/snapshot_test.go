@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/wire"
 )
@@ -419,5 +420,106 @@ func TestSuspendWithoutStateDir(t *testing.T) {
 	}
 	if _, err := c.Cancel(ctx, rep.Session); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefusedBlobRemoved: a parked snapshot the engine refuses for
+// good — here a blob whose bytes were damaged on disk, an envelope
+// that does not parse, and a blob taken on a whole-program image — is
+// answered 422 once and deleted, so the next
+// resume of the handle is a 404 and the state directory ends up empty.
+// A snapshot naming a program the daemon does not serve stays, since
+// a daemon serving that program could still resume it.
+func TestRefusedBlobRemoved(t *testing.T) {
+	dir := t.TempDir()
+	_, c := startServer(t, Config{
+		PoolOptions: []engine.PoolOption{engine.WithPoolSize(1)},
+		StateDir:    dir,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	park := func() string {
+		rep, err := c.Query(ctx, wire.QueryRequest{Goal: longGoal, Enumerate: true})
+		if err != nil || rep.Status != wire.StatusYes {
+			t.Fatalf("query: %+v %v", rep, err)
+		}
+		park, err := c.Suspend(ctx, rep.Session)
+		if err != nil || park.Status != wire.StatusParked {
+			t.Fatalf("suspend: %+v %v", park, err)
+		}
+		return park.Handle
+	}
+	rewrite := func(handle string, edit func(env *envelope) []byte) {
+		path := filepath.Join(dir, handle+".snap")
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(buf, &env); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(&env), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remarshal := func(env *envelope) []byte {
+		buf, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+
+	damaged := park()
+	rewrite(damaged, func(env *envelope) []byte {
+		env.Blob[len(env.Blob)/2] ^= 0xff
+		return remarshal(env)
+	})
+	garbled := park()
+	rewrite(garbled, func(*envelope) []byte { return []byte("{not json") })
+	// A session parked on a whole-program image, as daemons before the
+	// goal-block path parked every query naming no tenant.
+	im, err := core.MustLoad(testSrc).CompileQuery(longGoal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := engine.New(engine.WithPoolSize(1)).Begin(ctx, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.Suspend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := "00000000000000aa"
+	if err := os.WriteFile(filepath.Join(dir, whole+".snap"),
+		remarshal(&envelope{Program: "lists", Goal: longGoal, Blob: blob}), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, handle := range []string{damaged, garbled, whole} {
+		if rep, code := postRaw(t, c.Base(), "/v1/resume", wire.ResumeRequest{Handle: handle}); code != http.StatusUnprocessableEntity {
+			t.Fatalf("resume of refused %s: http %d %+v, want 422", handle, code, rep)
+		}
+		if rep, code := postRaw(t, c.Base(), "/v1/resume", wire.ResumeRequest{Handle: handle}); code != http.StatusNotFound {
+			t.Fatalf("second resume of refused %s: http %d %+v, want 404", handle, code, rep)
+		}
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("state directory after refusals: %v %v, want empty", left, err)
+	}
+
+	elsewhere := park()
+	rewrite(elsewhere, func(env *envelope) []byte {
+		env.Program = "other"
+		return remarshal(env)
+	})
+	for i := 0; i < 2; i++ {
+		if rep, code := postRaw(t, c.Base(), "/v1/resume", wire.ResumeRequest{Handle: elsewhere}); code != http.StatusUnprocessableEntity {
+			t.Fatalf("resume %d for an unknown program: http %d %+v, want 422", i, code, rep)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, elsewhere+".snap")); err != nil {
+		t.Fatalf("snapshot for an unknown program was not kept: %v", err)
 	}
 }

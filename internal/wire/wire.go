@@ -215,7 +215,10 @@ type StatsReply struct {
 	Tenants int `json:"tenants,omitempty"`
 	// TenantCode sums the tenant databases' private code tails.
 	TenantCode TenantCode `json:"tenant_code"`
-	Draining   bool       `json:"draining"`
+	// Goals counts the compiled goals cached across programs, at most
+	// a fixed capacity per program.
+	Goals    int  `json:"goals"`
+	Draining bool `json:"draining"`
 }
 
 // TenantCode is the private code the tenant databases hold, in code

@@ -40,7 +40,10 @@ go test -count=1 -run '^$' -fuzz 'FuzzMalformedClause' -fuzztime 5s ./internal/d
 
 echo '== snapshot round-trip gate (suspend/resume byte-identity, in-process and across restart)'
 go test -count=1 -run 'TestSuspendResumeByteIdentical|TestWarmStampParity' ./internal/engine/
-go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk' ./internal/server/
+go test -count=1 -run 'TestSuspendResumeAcrossRestart|TestDrainParksSessionsToDisk|TestRefusedBlobRemoved' ./internal/server/
+
+echo '== one query path (1000 distinct goals stay on one image and pool-size machines; goal-text cap)'
+go test -count=1 -run 'TestDistinctGoalsBounded|TestGoalTextCap' ./internal/server/
 
 echo '== snapshot blob fuzz smoke (mutated blobs must fail typed, never panic, never corrupt)'
 go test -count=1 -run '^$' -fuzz 'FuzzRestoreBlob' -fuzztime 5s ./internal/machine/
